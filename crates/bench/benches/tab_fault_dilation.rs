@@ -1,34 +1,26 @@
 //! E15 — cycle dilation under channel outages vs the §2 lemma's ⌈k/k'⌉.
 //!
-//! Columnsort on MCB(k, k) with `d` channels killed by a `FaultPlan`,
-//! recovered by resilient mode's lemma failover. Two regimes:
+//! Networked Columnsort's emitted schedule on MCB(k, k), with `d` channels
+//! dead from cycle `at`, remapped onto the survivors by the §2 simulation
+//! lemma (`mcb_check::degrade`) and re-proved collision-free and within
+//! the lemma bound. Two regimes:
 //!
-//! * deaths at cycle 0 (the whole run is degraded): the measured physical
-//!   cycle count must equal `⌈k/k'⌉ × L` **exactly** — the lemma's
-//!   dilation is not just a bound here, it is the schedule;
+//! * deaths at cycle 0 (the whole run is degraded): the degraded schedule
+//!   takes `⌈k/k'⌉ × L` cycles **exactly** — the lemma's dilation is not
+//!   just a bound here, it is the schedule;
 //! * deaths at mid-run: the dilation interpolates between 1× and ⌈k/k'⌉×
-//!   and must stay within `lemma_dilation_bound`.
+//!   and stays within the lemma bound `⌈k/k'⌉ × L`.
 
-use mcb_algos::resilient::{lemma_dilation_bound, Resilient};
 use mcb_algos::sort::columnsort_net_cycles;
+use mcb_algos::static_schedule::{ColumnsortNetSpec, StaticSchedule};
 use mcb_bench::Table;
-use mcb_net::{ChanId, FaultPlan};
-
-fn cols(m: usize, k: usize) -> Vec<Vec<Option<u64>>> {
-    (0..k)
-        .map(|c| {
-            (0..m)
-                .map(|r| Some(((c * m + r) as u64).wrapping_mul(48271) % 65521))
-                .collect()
-        })
-        .collect()
-}
+use mcb_check::{verify_degraded, Bounds, Outages};
 
 fn main() {
     println!("# E15 — fault dilation (channel outages vs the simulation lemma)\n");
     let mut t = Table::new(
         "tab_fault_dilation",
-        "Resilient Columnsort on MCB(k, k), d channels dead from cycle `at`",
+        "Degraded Columnsort schedule on MCB(k, k), d channels dead from cycle `at`",
         &[
             "k",
             "m",
@@ -43,29 +35,29 @@ fn main() {
         ],
     );
     for &(m, k) in &[(20usize, 5usize), (30, 6), (56, 8)] {
-        let fault_free = columnsort_net_cycles(m, k);
+        let schedule = ColumnsortNetSpec {
+            m,
+            k_cols: k,
+            dummies: false,
+        }
+        .emit();
+        let fault_free = schedule.cycle_count();
+        assert_eq!(fault_free, columnsort_net_cycles(m, k), "m={m} k={k}");
         for d in 0..k {
-            // Regime 1: dead from the start.
             for at in [0u64, fault_free / 2] {
                 if d == 0 && at > 0 {
                     continue; // identical to the d = 0, at = 0 row
                 }
-                let mut plan = FaultPlan::new(k, k);
-                for c in 0..d {
-                    plan = plan.kill_channel(ChanId(c as u32), at);
-                }
-                let out = Resilient::new(plan.clone())
-                    .sort_columns(m, cols(m, k))
-                    .expect("degraded sort");
-                let lin: Vec<u64> = out.columns.iter().flatten().filter_map(|x| *x).collect();
-                assert!(lin.windows(2).all(|w| w[0] >= w[1]), "unsorted output");
+                let outages = (0..d).fold(Outages::new(k), |o, c| o.kill(c, at));
+                let out = verify_degraded(&schedule, &outages, &Bounds::none())
+                    .expect("a channel survives");
+                assert!(out.report.is_ok(), "k={k} d={d} at={at}:\n{}", out.report);
                 let kp = k - d;
                 let h = k.div_ceil(kp) as u64;
-                let bound = lemma_dilation_bound(&plan, fault_free);
-                assert!(out.metrics.cycles <= bound, "lemma bound violated");
+                assert_eq!(out.lemma_bound, h * fault_free, "k={k} d={d}");
                 if at == 0 {
                     // Fully degraded: the lemma's dilation is exact.
-                    assert_eq!(out.metrics.cycles, h * fault_free, "k={k} d={d}");
+                    assert_eq!(out.dilation, h * fault_free, "k={k} d={d}");
                 }
                 t.row(vec![
                     k.to_string(),
@@ -74,10 +66,10 @@ fn main() {
                     kp.to_string(),
                     at.to_string(),
                     fault_free.to_string(),
-                    out.metrics.cycles.to_string(),
-                    format!("{:.2}x", out.metrics.cycles as f64 / fault_free as f64),
+                    out.dilation.to_string(),
+                    format!("{:.2}x", out.dilation as f64 / fault_free as f64),
                     format!("{h}x"),
-                    bound.to_string(),
+                    out.lemma_bound.to_string(),
                 ]);
             }
         }
@@ -86,7 +78,7 @@ fn main() {
     println!(
         "deaths at cycle 0 dilate by exactly ceil(k/k') (asserted); mid-run\n\
          deaths interpolate between 1x and ceil(k/k') and never exceed the\n\
-         lemma bound ceil(k/k') x (L + F). Output equals the fault-free sort\n\
-         in every row."
+         lemma bound ceil(k/k') x L. Every degraded schedule verifies:\n\
+         collision-free, reads valid, data flow a permutation."
     );
 }

@@ -1,11 +1,9 @@
 //! Self-healing drivers: the §5/§8 algorithms with **no fault oracle**.
 //!
-//! [`Resilient`](crate::resilient::Resilient) survives faults it is *told
-//! about* ([`FaultPlan::notice`](mcb_net::FaultPlan::notice) is an oracle
-//! every processor consults). This module removes the oracle: protocols
-//! are restructured so faults are *detected from the wire* and survived by
-//! reconfiguration, including processor crashes — which resilient mode
-//! cannot recover at all (a crashed processor leaves a `None` hole there).
+//! No processor is told which faults fire: protocols are restructured so
+//! faults are *detected from the wire* and survived by reconfiguration,
+//! including processor crashes — a survivor adopts the crashed
+//! processor's role, so the output has no `None` holes.
 //!
 //! # The all-read discipline
 //!
@@ -663,9 +661,8 @@ pub fn heal_schedule<K: Key, P: HealProgram<K>>(
 
 /// Builder for self-healing (no-oracle) runs of the paper's algorithms.
 ///
-/// Unlike [`Resilient`](crate::resilient::Resilient), the attached
-/// [`FaultPlan`] is **never consulted by the protocol** — it only drives
-/// the injection side. Detection is purely wire-level, which is why plans
+/// The attached [`FaultPlan`] is **never consulted by the protocol** — it
+/// only drives the injection side. Detection is purely wire-level, which is why plans
 /// should avoid stalls (see
 /// [`ChaosOpts::unplanned`](mcb_net::ChaosOpts::unplanned)): a stalled
 /// processor misses a round everyone else observes and desynchronizes the

@@ -4,18 +4,17 @@
 //! The paper's simulation lemma says any `MCB(p, k)` protocol runs on an
 //! `MCB(p, k')` with `k' < k` channels at a `⌈k/k'⌉` cycle dilation: each
 //! logical cycle is multiplexed onto the surviving channels over `⌈k/k'⌉`
-//! sub-cycles. The runtime uses exactly this remap when channels die
-//! mid-run (resilient mode in `mcb-net`). This module applies the **same
-//! formula** to a [`CheckedSchedule`], so the degraded schedule can be
-//! *proved* collision-free and within the lemma's cycle bound without
-//! executing anything:
+//! sub-cycles. This module applies that formula to a
+//! [`CheckedSchedule`], so the degraded schedule can be *proved*
+//! collision-free and within the lemma's cycle bound without executing
+//! anything:
 //!
 //! * logical channel `c` runs in sub-cycle `j = c / k'`,
 //! * on physical channel `live[c % k']` (the surviving channels in
 //!   ascending index order),
 //! * and every logical cycle occupies exactly `⌈k/k'⌉` physical cycles
-//!   (idle sub-cycles included — the runtime burns them too, which is what
-//!   keeps lock-step processors agreed on the clock).
+//!   (idle sub-cycles included, which is what keeps lock-step processors
+//!   agreed on the clock).
 //!
 //! Why the mapping preserves the invariants: within one sub-cycle `j` the
 //! remapped channels `{live[c % k'] : c / k' == j}` come from distinct
@@ -27,11 +26,11 @@
 //! rather than trusting the argument.
 //!
 //! Deaths here are pinned to **logical** cycles of the input schedule
-//! (channel `c` is gone from logical cycle `t` onward). The runtime's
-//! `FaultPlan` pins deaths to physical cycles instead — the static layer
-//! describes the degraded *plan*, the runtime the degraded *execution* —
-//! but both sides multiplex with the identical `(c / k', live[c % k'])`
-//! formula, which the `degraded_schedules` integration test cross-checks.
+//! (channel `c` is gone from logical cycle `t` onward). Before the first
+//! death the two clocks coincide, so a death at logical cycle `t` is also
+//! one at physical cycle `t`. E15 (`tab_fault_dilation`) reads its
+//! dilation table off this module, and the `degraded_schedules`
+//! integration test pins the per-cycle formula.
 
 use crate::ir::{CheckedSchedule, CycleIntents, DataFlow, DataMove, Intent, Route};
 use crate::report::Report;

@@ -31,7 +31,7 @@
 use crate::barrier::{Sense, SenseBarrier};
 use crate::epoch::EpochRecord;
 use crate::error::NetError;
-use crate::fault::{canonicalize, FaultKind, FaultPlan, FaultRecord, FaultSummary, ResilientOpts};
+use crate::fault::{canonicalize, FaultKind, FaultPlan, FaultRecord, FaultSummary};
 use crate::frame::{FrameRead, FRAME_HEADER_BITS};
 use crate::ids::{ChanId, ProcId};
 use crate::message::MsgWidth;
@@ -310,11 +310,6 @@ impl Network {
         self
     }
 
-    /// The attached fault plan, for the pooled driver's fiber contexts.
-    pub(crate) fn plan(&self) -> Option<Arc<FaultPlan>> {
-        self.fault_plan.clone()
-    }
-
     /// The attached monitor core, for the pooled driver's fiber contexts.
     pub(crate) fn monitor_core(&self) -> Option<Arc<MonitorCore>> {
         self.monitor.clone()
@@ -486,7 +481,6 @@ impl Network {
                         phase_name: String::new(),
                         events: Vec::new(),
                         prof_barrier: LogHistogram::new(),
-                        resilient: None,
                         inner: CtxInner::Lockstep {
                             shared,
                             sense: Sense::new(),
@@ -499,8 +493,8 @@ impl Network {
                         }
                         Err(payload) => {
                             if let Some(esc) = payload.downcast_ref::<Escalated>() {
-                                // Resilient retransmission gave up: the
-                                // carried error fails the run.
+                                // The epoch layer gave up: the carried
+                                // error fails the run.
                                 shared.fail(esc.0.clone());
                             } else if payload.downcast_ref::<Aborted>().is_none()
                                 && payload.downcast_ref::<Crashed>().is_none()
@@ -736,8 +730,8 @@ pub(crate) struct Aborted;
 pub(crate) struct Crashed;
 
 /// Unwind token carrying a [`NetError`] the processor wants to fail the
-/// whole run with (resilient retransmission gave up). Never observed by
-/// user code.
+/// whole run with (the epoch census gave up or saw the configuration
+/// split). Never observed by user code.
 pub(crate) struct Escalated(pub(crate) NetError);
 
 /// Best-effort text of a caught panic payload.
@@ -1055,48 +1049,13 @@ impl<M: Clone + Send + Sync + MsgWidth> Shared<M> {
         }
     }
 
-    /// Read phase for one processor: validate the channel and return the
-    /// message currently in it, if any.
-    pub(crate) fn apply_read(&self, id: ProcId, c: ChanId) -> Option<M> {
-        if c.index() >= self.k {
-            self.fail(NetError::BadChannel {
-                cycle: self.round.load(Ordering::Relaxed),
-                proc: id,
-                channel: c,
-                k: self.k,
-            });
-            return None;
-        }
-        if let Some(plan) = &self.plan {
-            let now = self.round.load(Ordering::Relaxed);
-            if plan.is_stalled(id.index(), now) {
-                // The receiver is blacked out: the read sees an empty
-                // channel regardless of traffic.
-                self.record_fault(FaultRecord {
-                    cycle: now,
-                    kind: FaultKind::Stall,
-                    proc: Some(id),
-                    chan: None,
-                });
-                return None;
-            }
-        }
-        if let Some(gs) = &self.groups {
-            gs.reads[gs.map[id.index()]].fetch_add(1, Ordering::Relaxed);
-        }
-        self.slots[c.index()]
-            .read()
-            .msg
-            .as_ref()
-            .map(|(_, m)| m.clone())
-    }
-
-    /// Framed read phase: like [`apply_read`](Self::apply_read) but
-    /// classifying the slot into the three-way [`FrameRead`] outcome. A
-    /// jammed slot (corrupted transmission under framing) reads as
-    /// [`FrameRead::Noise`]; a stalled reader is blacked out and observes
-    /// [`FrameRead::Silence`] regardless of traffic.
-    pub(crate) fn apply_read_framed(&self, id: ProcId, c: ChanId) -> FrameRead<M> {
+    /// Read phase for one processor: validate the channel and classify it
+    /// into the three-way [`FrameRead`] outcome. A jammed slot (corrupted
+    /// transmission under framing) reads as [`FrameRead::Noise`]; a
+    /// stalled reader is blacked out and observes [`FrameRead::Silence`]
+    /// regardless of traffic. Without framing no slot is ever jammed, so
+    /// the outcome is the model's empty-or-message observation.
+    pub(crate) fn apply_read(&self, id: ProcId, c: ChanId) -> FrameRead<M> {
         if c.index() >= self.k {
             self.fail(NetError::BadChannel {
                 cycle: self.round.load(Ordering::Relaxed),
@@ -1257,10 +1216,6 @@ pub struct ProcCtx<'a, M> {
     /// Per-wait barrier samples (threaded backend, profiling on), merged
     /// into the run's aggregate at thread end.
     prof_barrier: LogHistogram,
-    /// When `Some`, [`cycle`](Self::cycle) transparently executes the §2
-    /// simulation-lemma degraded protocol (see
-    /// [`set_resilient`](Self::set_resilient)).
-    resilient: Option<ResilientOpts>,
     inner: CtxInner<'a, M>,
 }
 
@@ -1281,10 +1236,6 @@ enum CtxInner<'a, M> {
         /// the next rendezvous so the worker stamps it before applying the
         /// cycle.
         pending_phase: Option<String>,
-        /// The run's fault schedule, mirrored here so resilient mode can
-        /// compute live channels and retransmission notices without a
-        /// worker round-trip.
-        plan: Option<Arc<FaultPlan>>,
         /// The run's live-monitor core, mirrored here so the epoch layer
         /// can post reconfiguration events without a worker round-trip.
         monitor: Option<Arc<MonitorCore>>,
@@ -1298,7 +1249,6 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
         id: ProcId,
         p: usize,
         k: usize,
-        plan: Option<Arc<FaultPlan>>,
         monitor: Option<Arc<MonitorCore>>,
         port: crate::pooled::FiberPort<M>,
     ) -> Self {
@@ -1308,13 +1258,11 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
             phase_name: String::new(),
             events: Vec::new(),
             prof_barrier: LogHistogram::new(),
-            resilient: None,
             inner: CtxInner::Fiber {
                 p,
                 k,
                 now: 0,
                 pending_phase: None,
-                plan,
                 monitor,
                 port,
             },
@@ -1381,78 +1329,28 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
     /// when no read was requested *or* the read channel was empty (the
     /// model's detectable-empty-channel semantics).
     ///
-    /// In resilient mode (see [`set_resilient`](Self::set_resilient)) this
-    /// is a *logical* cycle: it expands to `⌈k/k'⌉` physical cycles on the
-    /// `k'` surviving channels, plus retransmission retries, per the §2
-    /// simulation lemma.
+    /// This is [`framed_cycle`](Self::framed_cycle) with the read folded
+    /// back to the model's two-way observation: a jammed slot reads as
+    /// empty. Without [`Network::framing`] no slot is ever jammed.
     pub fn cycle(&mut self, write: Option<(ChanId, M)>, read: Option<ChanId>) -> Option<M> {
-        if self.resilient.is_some() {
-            return self.resilient_cycle(write, read);
-        }
-        self.raw_cycle(write, read)
+        self.framed_cycle(write, read).clean()
     }
 
-    /// The run's fault schedule, if one is attached.
-    fn plan(&self) -> Option<&FaultPlan> {
-        match &self.inner {
-            CtxInner::Lockstep { shared, .. } => shared.plan.as_deref(),
-            CtxInner::Fiber { plan, .. } => plan.as_deref(),
-        }
-    }
-
-    /// The channels still alive at the current cycle, in ascending order.
-    /// All `k` channels when no fault plan is attached; the fault plan's
-    /// survivors otherwise. Because fault plans are static, every processor
-    /// computes the same answer at the same cycle — the basis for the
-    /// lemma-driven remap in resilient mode.
-    pub fn live_channels(&self) -> Vec<ChanId> {
-        let now = self.now();
-        match self.plan() {
-            Some(plan) => plan
-                .live_at(now)
-                .into_iter()
-                .map(ChanId::from_index)
-                .collect(),
-            None => (0..self.k()).map(ChanId::from_index).collect(),
-        }
-    }
-
-    /// Switch this processor's [`cycle`](Self::cycle) calls into (or out of)
-    /// resilient mode.
+    /// One cycle with a *framed* read (see [`crate::frame`]): instead of
+    /// the model's two-way empty-or-message observation, the read
+    /// classifies the channel into [`FrameRead::Silence`] /
+    /// [`FrameRead::Clean`] / [`FrameRead::Noise`], which is what lets a
+    /// reader distinguish a lost transmission from a corrupted one without
+    /// oracle access.
     ///
-    /// In resilient mode each logical cycle is simulated on the channels
-    /// still alive under the run's [`FaultPlan`] via the paper's §2 lemma:
-    /// with `k'` of `k` channels surviving, the logical cycle expands to
-    /// `h = ⌈k/k'⌉` physical sub-cycles, sub-cycle `j` carrying logical
-    /// channels `c` with `c / k' == j` on physical channel `live[c % k']`.
-    /// The mapping is injective per sub-cycle, so a collision-free logical
-    /// schedule stays collision-free, and a logical writer and reader of
-    /// the same channel land in the same sub-cycle, so delivery is
-    /// preserved.
-    ///
-    /// Transient faults (drop / corrupt / stall) are handled by planned
-    /// notice: after each logical cycle every processor checks — from the
-    /// static plan, so all agree — whether any fault could have fired in
-    /// the window just executed, and if so the whole network retries the
-    /// logical cycle, up to [`ResilientOpts::retries`] times before the run
-    /// fails with [`NetError::Unrecoverable`]. This models synchronous
-    /// detection-by-silence: on a broadcast medium every station observes
-    /// the carrier, so a garbled or missing slot is common knowledge one
-    /// cycle later.
-    ///
-    /// Resilient mode assumes an SPMD lock-step protocol (all processors
-    /// issue their `n`-th logical cycle together), which holds for every
-    /// schedule in `mcb-algos`. It changes only *which physical cycles*
-    /// implement the logical schedule; with no fault plan attached (or no
-    /// faults fired) it executes one physical cycle per logical cycle and
-    /// is observably identical to normal mode.
-    pub fn set_resilient(&mut self, opts: Option<ResilientOpts>) {
-        self.resilient = opts;
-    }
-
-    /// One *physical* network cycle (see [`cycle`](Self::cycle), which
-    /// dispatches here directly outside resilient mode).
-    fn raw_cycle(&mut self, write: Option<(ChanId, M)>, read: Option<ChanId>) -> Option<M> {
+    /// Requires [`Network::framing`] for `Noise` to ever be observable
+    /// (without it, corrupt faults empty the slot and read as silence).
+    /// With no `read` requested the result is [`FrameRead::Silence`].
+    pub fn framed_cycle(
+        &mut self,
+        write: Option<(ChanId, M)>,
+        read: Option<ChanId>,
+    ) -> FrameRead<M> {
         match &mut self.inner {
             CtxInner::Lockstep { shared, sense } => {
                 // ---- planned crash ---------------------------------------
@@ -1484,7 +1382,7 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
                 shared.barrier_wait(sense, &mut self.prof_barrier); // writes visible
 
                 // ---- read phase ------------------------------------------
-                let got = read.and_then(|c| shared.apply_read(self.id, c));
+                let got = read.map_or(FrameRead::Silence, |c| shared.apply_read(self.id, c));
                 self.local
                     .record_cycle(shared.round.load(Ordering::Relaxed));
 
@@ -1501,161 +1399,21 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
                 port,
                 pending_phase,
                 ..
-            } => {
-                match port.rendezvous(pending_phase.take(), write, read) {
-                    Some(resume) => {
-                        // The worker applied our write/read under the pool's
-                        // round structure; adopt its authoritative clocks
-                        // (the full per-phase tallies stay on the worker's
-                        // side — only the scalars matter to the protocol).
-                        self.local.cycles = resume.cycles;
-                        self.local.messages = resume.messages;
-                        *now = resume.now;
-                        resume.read
-                    }
-                    // The run is over (failure elsewhere, or cycle budget).
-                    None => std::panic::resume_unwind(Box::new(Aborted)),
-                }
-            }
-        }
-    }
-
-    /// One physical cycle with a *framed* read (see [`crate::frame`]):
-    /// instead of the model's two-way empty-or-message observation, the
-    /// read classifies the channel into [`FrameRead::Silence`] /
-    /// [`FrameRead::Clean`] / [`FrameRead::Noise`], which is what lets a
-    /// reader distinguish a lost transmission from a corrupted one without
-    /// oracle access.
-    ///
-    /// Requires [`Network::framing`] for `Noise` to ever be observable
-    /// (without it, corrupt faults empty the slot and read as silence).
-    /// `framed_cycle` never goes through resilient mode — self-healing
-    /// protocols own their channel remap via the epoch layer. With no
-    /// `read` requested the result is [`FrameRead::Silence`].
-    pub fn framed_cycle(
-        &mut self,
-        write: Option<(ChanId, M)>,
-        read: Option<ChanId>,
-    ) -> FrameRead<M> {
-        match &mut self.inner {
-            CtxInner::Lockstep { shared, sense } => {
-                // Planned crash: same placement as `raw_cycle`.
-                if let Some(plan) = &shared.plan {
-                    let now = shared.round.load(Ordering::Relaxed);
-                    if plan
-                        .crash_cycle(self.id.index())
-                        .is_some_and(|cc| now >= cc)
-                    {
-                        shared.record_fault(FaultRecord {
-                            cycle: now,
-                            kind: FaultKind::Crash,
-                            proc: Some(self.id),
-                            chan: None,
-                        });
-                        std::panic::resume_unwind(Box::new(Crashed));
-                    }
-                }
-                if let Some((c, m)) = write {
-                    let events = shared.record_trace.then_some(&mut self.events);
-                    shared.apply_write(self.id, c, m, &mut self.local, events);
-                }
-                shared.barrier_wait(sense, &mut self.prof_barrier); // writes visible
-
-                let got = read.map_or(FrameRead::Silence, |c| shared.apply_read_framed(self.id, c));
-                self.local
-                    .record_cycle(shared.round.load(Ordering::Relaxed));
-
-                if self.finish_round() {
-                    std::panic::resume_unwind(Box::new(Aborted));
-                }
-                got
-            }
-            CtxInner::Fiber {
-                now,
-                port,
-                pending_phase,
-                ..
-            } => match port.rendezvous_framed(pending_phase.take(), write, read) {
+            } => match port.rendezvous(pending_phase.take(), write, read) {
                 Some(resume) => {
+                    // The worker applied our write/read under the pool's
+                    // round structure; adopt its authoritative clocks (the
+                    // full per-phase tallies stay on the worker's side —
+                    // only the scalars matter to the protocol).
                     self.local.cycles = resume.cycles;
                     self.local.messages = resume.messages;
                     *now = resume.now;
-                    if resume.jammed {
-                        FrameRead::Noise
-                    } else {
-                        match resume.read {
-                            Some(m) => FrameRead::Clean(m),
-                            None => FrameRead::Silence,
-                        }
-                    }
+                    resume.read
                 }
+                // The run is over (failure elsewhere, or cycle budget).
                 None => std::panic::resume_unwind(Box::new(Aborted)),
             },
         }
-    }
-
-    /// One *logical* cycle under the §2 simulation lemma, with planned-
-    /// notice retransmission (see [`set_resilient`](Self::set_resilient)).
-    fn resilient_cycle(&mut self, write: Option<(ChanId, M)>, read: Option<ChanId>) -> Option<M> {
-        let k = self.k();
-        // Out-of-range logical channels must surface as BadChannel exactly
-        // as in normal mode, not be remapped into range.
-        if write.as_ref().is_some_and(|(c, _)| c.index() >= k)
-            || read.is_some_and(|c| c.index() >= k)
-        {
-            return self.raw_cycle(write, read);
-        }
-        let retries = self.resilient.map_or(0, |o| o.retries);
-        for _ in 0..=retries {
-            let start = self.now();
-            let live = self
-                .plan()
-                .map_or_else(|| (0..k).collect(), |plan| plan.live_at(start));
-            let kp = live.len();
-            if kp == 0 {
-                // Every channel is dead: no schedule can be simulated.
-                std::panic::resume_unwind(Box::new(Escalated(NetError::Unrecoverable {
-                    cycle: start,
-                    proc: self.id,
-                    attempts: retries,
-                })));
-            }
-            let h = k.div_ceil(kp);
-            // Sub-cycle j carries logical channels c with c / k' == j on
-            // physical channel live[c % k']: injective per sub-cycle (the
-            // c % k' values of one block are distinct), and a logical
-            // writer/reader pair of the same channel shares a sub-cycle.
-            let mut got = None;
-            for j in 0..h {
-                let sub = |c: ChanId| {
-                    (c.index() / kp == j).then(|| ChanId::from_index(live[c.index() % kp]))
-                };
-                let w = write
-                    .as_ref()
-                    .and_then(|(c, m)| sub(*c).map(|phys| (phys, m.clone())));
-                let r = read.and_then(sub);
-                let res = self.raw_cycle(w, r);
-                if r.is_some() {
-                    got = res;
-                }
-            }
-            // Planned notice: if any fault could have fired in the window
-            // just executed, every processor (computing from the same
-            // static plan) retries the logical cycle. The retry window
-            // starts past the fault cycle that spoiled this one, so each
-            // planned fault cycle spoils at most one window.
-            let noticed = self
-                .plan()
-                .is_some_and(|plan| plan.notice(start, self.now()));
-            if !noticed {
-                return got;
-            }
-        }
-        std::panic::resume_unwind(Box::new(Escalated(NetError::Unrecoverable {
-            cycle: self.now(),
-            proc: self.id,
-            attempts: retries,
-        })));
     }
 
     /// Label all subsequent cycles and messages of this processor with

@@ -404,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn phys_channel_rotates_over_live_channels() {
+    fn phys_channel_rotates_over_surviving_channels() {
         let ctx = EpochCtx::with_epoch(2, vec![1, 3], vec![0], EpochOpts::default());
         let chans: Vec<usize> = (0..5).map(|t| ctx.phys_channel(t).index()).collect();
         assert_eq!(chans, [1, 3, 1, 3, 1]);

@@ -95,22 +95,23 @@ pub enum NetError {
         /// Global cycle at which the watchdog gave up.
         cycle: u64,
     },
-    /// A resilient processor exhausted its retransmission budget without
-    /// completing a clean logical cycle (see
-    /// [`ProcCtx::set_resilient`](crate::ProcCtx::set_resilient)), or a
-    /// self-healing census found no usable channel or processor left.
+    /// A self-healing processor ran out of reconfiguration budget: every
+    /// census sweep proved no live channel or processor, or the run
+    /// already committed [`EpochOpts::max_epochs`](crate::EpochOpts)
+    /// reconfigurations (see [`EpochCtx::reconfigure`](crate::EpochCtx::reconfigure)).
     ///
-    /// **Recovery:** raise the retry budget
-    /// ([`ResilientOpts::retries`](crate::ResilientOpts) /
-    /// [`EpochOpts::census_retries`](crate::EpochOpts)) past the plan's
-    /// fault-cycle count — or accept that the plan violates the §2 lemma's
+    /// **Recovery:** raise the budget
+    /// ([`EpochOpts::census_retries`](crate::EpochOpts) /
+    /// [`EpochOpts::max_epochs`](crate::EpochOpts)) past the plan's fault
+    /// count — or accept that the plan violates the §2 lemma's
     /// precondition (at least one live channel) and cannot be survived.
     Unrecoverable {
         /// Global cycle at which the processor gave up.
         cycle: u64,
         /// The processor that escalated.
         proc: ProcId,
-        /// The retry budget that was exhausted.
+        /// The budget that was exhausted: census sweeps run, or the epoch
+        /// cap.
         attempts: u32,
     },
     /// A self-healing processor observed traffic stamped with a different
@@ -189,7 +190,7 @@ impl fmt::Display for NetError {
                 attempts,
             } => write!(
                 f,
-                "{proc} exhausted {attempts} retransmission attempt(s) at cycle {cycle}; degraded run unrecoverable"
+                "{proc} exhausted a reconfiguration budget of {attempts} at cycle {cycle}; degraded run unrecoverable"
             ),
             NetError::EpochDiverged {
                 cycle,

@@ -1,9 +1,9 @@
-//! Deterministic fault injection and lemma-driven recovery.
+//! Deterministic fault injection.
 //!
 //! The engine is normally fail-fast: collisions, panics, and bad channels
 //! abort the run. This module adds the opposite capability — *keep going on
 //! degraded hardware* — in a way that stays bit-deterministic and identical
-//! across both execution backends.
+//! across the execution backends.
 //!
 //! # Fault taxonomy
 //!
@@ -24,34 +24,16 @@
 //! [`FaultRecord`] in [`Metrics::faults`](crate::Metrics::faults), the
 //! [`Trace`](crate::Trace), and the JSONL export.
 //!
-//! # Recovery: the §2 lemma, applied to dead channels
+//! # Recovery
 //!
-//! The paper's simulation lemma says an `MCB(p, k)` computation runs on an
-//! `MCB(p, k')` machine (`k' < k`) with `⌈k/k'⌉` cycle dilation by
-//! round-robin channel multiplexing. Dead channels leave exactly that
-//! machine behind, so a *resilient* logical cycle (enabled per-processor
-//! with [`ProcCtx::set_resilient`](crate::ProcCtx::set_resilient)) executes
-//! as `h = ⌈k/k'⌉` physical sub-cycles over the `k'` surviving channels:
-//! logical channel `c` is served in sub-cycle `c / k'` on physical channel
-//! `live[c % k']`. The mapping is injective per sub-cycle, so a
-//! collision-free schedule stays collision-free — `mcb-check`'s `degrade`
-//! module proves the same statement statically.
-//!
-//! # Retransmission: detection by silence, without desynchronizing
-//!
-//! Transient faults (drops, corruption, stalls, a death landing mid-window)
-//! are handled by retrying the whole logical cycle. In a synchronous
-//! broadcast network every station monitors the shared medium, so fault
-//! *detection* is common knowledge: the plan is static, and
-//! [`FaultPlan::notice`] is a pure function every processor evaluates
-//! identically — a carrier-level "that window was noisy" signal. All
-//! processors therefore retry (or not) in lock-step. After
-//! [`ResilientOpts::retries`] dirty windows the processor escalates
-//! [`NetError::Unrecoverable`](crate::NetError::Unrecoverable), which fails
-//! the run on both backends.
-//!
-//! Channels are memoryless (the sweep clears them every cycle), so retries
-//! can never observe stale messages from an earlier attempt.
+//! Protocols are never told which faults fire: the plan drives only the
+//! injection side. Recovery is the self-healing stack's job — the frame
+//! layer ([`crate::frame`]) makes every fault visible on the wire, the
+//! epoch census ([`crate::epoch`]) agrees on the surviving channels and
+//! processors, and `mcb_algos::heal` replays the interrupted phase on
+//! them. The paper's §2 simulation lemma, which says how an `MCB(p, k)`
+//! schedule runs on `k' < k` survivors at `⌈k/k'⌉` dilation, lives in
+//! [`crate::virt`] at run time and in `mcb_check::degrade` statically.
 
 use crate::ids::{ChanId, ProcId};
 use mcb_json::Json;
@@ -363,8 +345,8 @@ impl ChaosOpts {
 
     /// Preset for **correlated-burst** weather: no uniform transients at
     /// all — every drop/corruption arrives inside one of two seeded storm
-    /// windows — plus one channel death. Stalls stay disabled so the shape
-    /// is usable by both the resilient and the no-oracle drivers.
+    /// windows — plus one channel death. Stalls stay disabled for the same
+    /// reason as [`ChaosOpts::unplanned`].
     pub fn bursty(horizon: u64) -> Self {
         ChaosOpts {
             drops: 0,
@@ -373,23 +355,6 @@ impl ChaosOpts {
             burst_len: 6,
             ..ChaosOpts::unplanned(horizon)
         }
-    }
-}
-
-/// Options for resilient (degraded-mode) execution; see
-/// [`ProcCtx::set_resilient`](crate::ProcCtx::set_resilient).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResilientOpts {
-    /// Dirty windows tolerated per logical cycle before the processor
-    /// escalates [`NetError::Unrecoverable`](crate::NetError::Unrecoverable).
-    /// Each planned fault cycle spoils at most one window, so any value
-    /// `>= 1 +` (planned fault entries) can never escalate.
-    pub retries: u32,
-}
-
-impl Default for ResilientOpts {
-    fn default() -> Self {
-        ResilientOpts { retries: 32 }
     }
 }
 
@@ -671,24 +636,6 @@ impl FaultPlan {
         }
     }
 
-    /// Carrier-level fault detection for the window `[from, to)`: true when
-    /// any planned drop, corruption, or stall lands in the window, or a
-    /// channel death fires strictly inside it (a death at or before `from`
-    /// is already reflected in `live_at(from)` and needs no retry).
-    ///
-    /// Pure function of the plan, so every processor of a lock-step run
-    /// computes the same answer — the basis of the synchronized retransmit
-    /// protocol (see the [module docs](self)).
-    pub fn notice(&self, from: u64, to: u64) -> bool {
-        if self.drops.range((from, 0)..(to, 0)).next().is_some()
-            || self.corrupts.range((from, 0)..(to, 0)).next().is_some()
-            || self.stalls.range((from, 0)..(to, 0)).next().is_some()
-        {
-            return true;
-        }
-        self.deaths.iter().flatten().any(|&d| from < d && d < to)
-    }
-
     /// Counts of planned faults plus the seed, for the JSONL export.
     pub fn summary(&self) -> FaultSummary {
         FaultSummary {
@@ -699,19 +646,6 @@ impl FaultPlan {
             crashes: self.crashes.iter().filter(|c| c.is_some()).count() as u64,
             stalls: self.stalls.len() as u64,
         }
-    }
-
-    /// Number of distinct cycles at which any planned fault can fire; the
-    /// retransmit protocol retries at most once per such cycle, so this
-    /// bounds both total retries and the `retries` option needed to make a
-    /// plan survivable.
-    pub fn fault_cycles(&self) -> usize {
-        let mut cycles: BTreeSet<u64> = BTreeSet::new();
-        cycles.extend(self.drops.iter().map(|&(t, _)| t));
-        cycles.extend(self.corrupts.iter().map(|&(t, _)| t));
-        cycles.extend(self.stalls.iter().map(|&(t, _)| t));
-        cycles.extend(self.deaths.iter().flatten());
-        cycles.len()
     }
 
     /// Tag the plan with a seed (kept through [`FaultPlan::to_jsonl`] so a
@@ -883,22 +817,6 @@ mod tests {
             (s.deaths, s.drops, s.corrupts, s.crashes, s.stalls),
             (1, 1, 1, 1, 2)
         );
-        // Retry-relevant fault cycles: stalls at 2 and 3, drop at 3,
-        // corrupt at 4, death at 5 = {2, 3, 4, 5}. The crash at 9 is not
-        // counted: crashes are permanent and never retried.
-        assert_eq!(plan.fault_cycles(), 4);
-    }
-
-    #[test]
-    fn notice_windows() {
-        let plan = FaultPlan::new(2, 2)
-            .drop_message(5, ChanId(1))
-            .kill_channel(ChanId(0), 8);
-        assert!(!plan.notice(0, 5));
-        assert!(plan.notice(5, 6)); // drop inside
-        assert!(!plan.notice(6, 8));
-        assert!(plan.notice(6, 9)); // death strictly inside
-        assert!(!plan.notice(8, 10)); // death at window start: already degraded
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Self-checking broadcast frames: the detection substrate for unplanned
 //! faults.
 //!
-//! PR 4's resilient mode recovers from faults it is *told about*
-//! ([`FaultPlan::notice`](crate::FaultPlan::notice) is a pure oracle). To
-//! detect faults from the wire itself, every broadcast can carry a
-//! lightweight **frame header** — a sequence tag, the writer id, and a
+//! An attached [`FaultPlan`](crate::FaultPlan) only drives injection: no
+//! protocol is ever told which faults fire. To detect them from the wire
+//! itself, every broadcast can carry a lightweight **frame header** — a sequence tag, the writer id, and a
 //! CRC-32 over header and payload — so that a reader can classify each
 //! (cycle, channel) observation into one of three [`FrameRead`] outcomes:
 //!
@@ -36,7 +35,8 @@
 //!   header is overhead in the O(log β) budget, not a separate message);
 //! * models in-flight corruption honestly: a `Corrupt` fault leaves the
 //!   slot *jammed* instead of silently empty, so framed readers observe
-//!   [`Noise`](FrameRead::Noise) where unframed readers would observe an
+//!   [`Noise`](FrameRead::Noise) where the model's two-way read
+//!   ([`ProcCtx::cycle`](crate::ProcCtx::cycle)) observes an
 //!   indistinguishable empty channel;
 //! * leaves cycle counts untouched — framing costs bits, never cycles.
 //!

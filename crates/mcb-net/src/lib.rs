@@ -59,8 +59,9 @@
 //! * [`step`] — protocols as resumable state machines ([`StepProtocol`],
 //!   run thread-free at scale by the pooled and vector backends).
 //! * [`virt`] — §2's simulation of a larger MCB on a smaller one.
-//! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and the §2
-//!   lemma-driven degraded mode ([`ProcCtx::set_resilient`]).
+//! * [`fault`] — deterministic fault injection ([`FaultPlan`]): channel
+//!   deaths, transient losses, crashes and stalls, byte-identical across
+//!   backends.
 //! * [`frame`] — self-checking broadcast frames: the three-way
 //!   silence/clean/noise read classification ([`FrameRead`]) that lets
 //!   protocols detect faults from the wire with no oracle.
@@ -107,9 +108,7 @@ pub use engine::{
 pub use epoch::{escalate_diverged, ControlCodec, EpochCause, EpochCtx, EpochOpts, EpochRecord};
 pub use error::NetError;
 pub use export::{validate_chrome_trace, ChromeTraceStats, JSONL_SCHEMA_VERSION};
-pub use fault::{
-    ChaosOpts, FaultEvent, FaultKind, FaultPlan, FaultRecord, FaultSummary, ResilientOpts,
-};
+pub use fault::{ChaosOpts, FaultEvent, FaultKind, FaultPlan, FaultRecord, FaultSummary};
 pub use frame::{frame_crc, FrameHeader, FrameRead, FRAME_HEADER_BITS};
 pub use ids::{ChanId, ProcId};
 pub use message::{bits_for_i64, bits_for_u64, MsgWidth};

@@ -47,6 +47,7 @@ use crate::engine::{
 };
 use crate::error::NetError;
 use crate::fault::{FaultKind, FaultRecord};
+use crate::frame::FrameRead;
 use crate::ids::{ChanId, ProcId};
 use crate::message::MsgWidth;
 use crate::metrics::{LocalMetrics, LogHistogram};
@@ -64,10 +65,6 @@ pub(crate) struct Request<M> {
     phase: Option<String>,
     write: Option<(ChanId, M)>,
     read: Option<ChanId>,
-    /// When true the read is applied via the framed path
-    /// ([`Shared::apply_read_framed`]) so the resume can carry the
-    /// three-way silence/clean/noise classification.
-    framed: bool,
 }
 
 /// Worker → unit resumption payload: the read result plus the unit's
@@ -75,11 +72,7 @@ pub(crate) struct Request<M> {
 /// needs the scalars, so the per-phase tallies stay worker-side and are
 /// never cloned per cycle).
 pub(crate) struct Resume<M> {
-    pub(crate) read: Option<M>,
-    /// True when a framed read observed a jammed slot
-    /// ([`FrameRead::Noise`](crate::frame::FrameRead::Noise)); always false
-    /// for unframed reads.
-    pub(crate) jammed: bool,
+    pub(crate) read: FrameRead<M>,
     pub(crate) cycles: u64,
     pub(crate) messages: u64,
     pub(crate) now: u64,
@@ -101,31 +94,7 @@ impl<M> FiberPort<M> {
         write: Option<(ChanId, M)>,
         read: Option<ChanId>,
     ) -> Option<Resume<M>> {
-        self.exchange(Request {
-            phase,
-            write,
-            read,
-            framed: false,
-        })
-    }
-
-    /// Like [`rendezvous`](Self::rendezvous) but applying the read through
-    /// the framed path, so the resume distinguishes noise from silence.
-    pub(crate) fn rendezvous_framed(
-        &self,
-        phase: Option<String>,
-        write: Option<(ChanId, M)>,
-        read: Option<ChanId>,
-    ) -> Option<Resume<M>> {
-        self.exchange(Request {
-            phase,
-            write,
-            read,
-            framed: true,
-        })
-    }
-
-    fn exchange(&self, req: Request<M>) -> Option<Resume<M>> {
+        let req = Request { phase, write, read };
         if self.requests.send(FiberEvent::Yielded(req)).is_err() {
             return None;
         }
@@ -141,8 +110,8 @@ enum FiberEvent<M> {
     Finished,
     /// The protocol panicked with this message.
     Panicked(String),
-    /// The protocol wants to fail the run with this error (resilient
-    /// retransmission gave up).
+    /// The protocol wants to fail the run with this error (the epoch
+    /// census gave up or saw the configuration split).
     Escalated(NetError),
 }
 
@@ -217,7 +186,7 @@ where
     S::Output: Send,
 {
     fn resume(&mut self, resume: Resume<M>) {
-        self.input = resume.read;
+        self.input = resume.read.clean();
         self.cycles_used = resume.cycles;
         self.messages_sent = resume.messages;
     }
@@ -230,7 +199,6 @@ where
                 phase: None,
                 write: None,
                 read: None,
-                framed: false,
             });
         }
         let env = StepEnv::new(
@@ -249,7 +217,6 @@ where
                 phase: env.take_phase(),
                 write,
                 read,
-                framed: false,
             }),
             Ok(Step::IdleFor(n)) => {
                 // First idle cycle of the span carries the phase change (if
@@ -259,7 +226,6 @@ where
                     phase: env.take_phase(),
                     write: None,
                     read: None,
-                    framed: false,
                 })
             }
             Ok(Step::Done(r)) => {
@@ -286,9 +252,7 @@ struct UnitSlot<M, U> {
     /// This slot's private trace buffer (lock-free; merged at run end).
     events: Vec<Event<M>>,
     pending: Option<Request<M>>,
-    read_val: Option<M>,
-    /// A framed read of this slot observed a jammed channel this cycle.
-    jam_val: bool,
+    read_val: FrameRead<M>,
     awaiting: bool,
     unit: U,
 }
@@ -300,8 +264,7 @@ impl<M, U> UnitSlot<M, U> {
             local: LocalMetrics::default(),
             events: Vec::new(),
             pending: None,
-            read_val: None,
-            jam_val: false,
+            read_val: FrameRead::Silence,
             awaiting: false,
             unit,
         }
@@ -405,19 +368,9 @@ where
         let now = shared.round.load(Ordering::Relaxed);
         for slot in chunk.iter_mut() {
             if let Some(req) = &slot.pending {
-                if req.framed {
-                    (slot.read_val, slot.jam_val) = match req.read {
-                        Some(c) => match shared.apply_read_framed(slot.id, c) {
-                            crate::frame::FrameRead::Clean(m) => (Some(m), false),
-                            crate::frame::FrameRead::Noise => (None, true),
-                            crate::frame::FrameRead::Silence => (None, false),
-                        },
-                        None => (None, false),
-                    };
-                } else {
-                    slot.read_val = req.read.and_then(|c| shared.apply_read(slot.id, c));
-                    slot.jam_val = false;
-                }
+                slot.read_val = req
+                    .read
+                    .map_or(FrameRead::Silence, |c| shared.apply_read(slot.id, c));
                 slot.local.record_cycle(now);
             }
         }
@@ -448,8 +401,7 @@ where
             if slot.pending.take().is_some() {
                 slot.awaiting = true;
                 slot.unit.resume(Resume {
-                    read: slot.read_val.take(),
-                    jammed: std::mem::take(&mut slot.jam_val),
+                    read: std::mem::replace(&mut slot.read_val, FrameRead::Silence),
                     cycles: slot.local.cycles,
                     messages: slot.local.messages,
                     now,
@@ -507,15 +459,13 @@ where
         ));
     }
 
-    let plan = net.plan();
     let monitor = net.monitor_core();
     std::thread::scope(|scope| {
         for (i, (port, events)) in ports.into_iter().enumerate() {
             let results = &results;
-            let plan = plan.clone();
             let monitor = monitor.clone();
             scope.spawn(move || {
-                let mut ctx = ProcCtx::fiber(ProcId::from_index(i), p, k, plan, monitor, port);
+                let mut ctx = ProcCtx::fiber(ProcId::from_index(i), p, k, monitor, port);
                 match catch_unwind(AssertUnwindSafe(|| protocol(&mut ctx))) {
                     Ok(r) => {
                         results.lock()[i] = Some(r);
@@ -523,8 +473,8 @@ where
                     }
                     Err(payload) => {
                         if let Some(esc) = payload.downcast_ref::<Escalated>() {
-                            // Resilient retransmission gave up: ship the
-                            // carried error to the driver.
+                            // The epoch layer gave up: ship the carried
+                            // error to the driver.
                             let _ = events.send(FiberEvent::Escalated(esc.0.clone()));
                         } else if payload.downcast_ref::<Aborted>().is_none() {
                             let _ =

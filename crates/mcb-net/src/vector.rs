@@ -373,7 +373,13 @@ where
                         None
                     } else {
                         shared.group_mark_read(i);
-                        slot_msg[c.index()].as_ref().map(|(_, m)| m.clone())
+                        // A jammed slot reads as noise, which a step
+                        // machine's two-way input folds to empty.
+                        if slot_jam[c.index()] {
+                            None
+                        } else {
+                            slot_msg[c.index()].as_ref().map(|(_, m)| m.clone())
+                        }
                     }
                 }
                 None => None,

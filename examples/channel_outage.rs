@@ -1,18 +1,10 @@
-//! Channel outage drill, in two acts.
+//! Channel outage drill: a channel death *and* a processor crash that
+//! nobody is told about. The self-healing driver detects both from the
+//! wire, reconfigures (watch the epoch marker row in the timeline), a
+//! survivor adopts the crashed column, and the output is still complete —
+//! on both closure execution backends, identically.
 //!
-//! **Act 1 — told about the fault:** kill half the broadcast channels in
-//! the middle of a Columnsort, let the §2 simulation-lemma failover
-//! multiplex the rest of the protocol onto the survivors, and inspect the
-//! damage — the degraded cycle timeline (fault markers included), the
-//! dilation against the lemma's `⌈k/k'⌉` bound, and the sorted output.
-//!
-//! **Act 2 — told nothing:** a channel death *and* a processor crash with
-//! the fault oracle unplugged. The self-healing driver detects both from
-//! the wire, reconfigures (watch the epoch marker row in the timeline),
-//! a survivor adopts the crashed column, and the output is still complete
-//! — on both execution backends, identically.
-//!
-//! Exits non-zero if either act fails, overruns its bound, or produces a
+//! Exits non-zero if the drill fails, overruns its bound, or produces a
 //! wrong result.
 //!
 //! ```text
@@ -20,148 +12,34 @@
 //! ```
 
 use mcb::algos::heal::SelfHealing;
-use mcb::algos::resilient::Resilient;
-use mcb::algos::sort::{columnsort_net_cycles, columnsort_net_in, ColumnRole};
-use mcb::algos::Word;
-use mcb::net::{
-    render_timeline, render_timeline_with_epochs, Backend, ChanId, FaultPlan, Network, ProcId,
-    ResilientOpts,
-};
+use mcb::net::{render_timeline_with_epochs, Backend, ChanId, FaultPlan, ProcId};
 use mcb::workloads::{distinct_keys, rng};
 
 const WIDTH: usize = 72;
 
 fn main() {
-    // 8 columns of 56 keys on an MCB(8, 8) (the §5 shape needs
-    // m >= k(k-1)); channels 5 and 6 die at roughly 40% and 70% of the
-    // fault-free schedule.
-    let (m, k) = (56usize, 8usize);
-    let fault_free = columnsort_net_cycles(m, k);
-    // Two transient drops ride along: deaths are dodged proactively by the
-    // failover (remapped before any write is lost), but drops hit a live
-    // channel and exercise the detection-by-silence retransmit.
-    let plan = FaultPlan::new(k, k)
-        .kill_channel(ChanId(5), fault_free * 2 / 5)
-        .kill_channel(ChanId(6), fault_free * 7 / 10)
-        .drop_message(fault_free / 5, ChanId(0))
-        .drop_message(fault_free, ChanId(1));
-
-    let vals = distinct_keys(m * k, &mut rng(1985));
+    // A small shape keeps the all-read timeline readable. Channel 2 dies
+    // mid-run and processor 1 crashes later; the self-healing driver has no
+    // oracle — both faults must be detected from the wire.
+    let (m, k) = (12usize, 4usize);
+    let vals = distinct_keys(m * k, &mut rng(5891));
     let cols: Vec<Vec<Option<u64>>> = (0..k)
         .map(|c| vals[c * m..(c + 1) * m].iter().map(|&v| Some(v)).collect())
         .collect();
-
-    // Run through the raw engine (not the Resilient driver) so the trace
-    // is on and the timeline can show the degradation happening.
-    let run_cols = cols.clone();
-    let report = Network::new(k, k)
-        .record_trace(true)
-        .fault_plan(plan.clone())
-        .run(move |ctx| {
-            ctx.set_resilient(Some(ResilientOpts::default()));
-            ctx.phase("columnsort");
-            let me = ctx.id().index();
-            let role = Some(ColumnRole {
-                col: me,
-                data: run_cols[me].clone(),
-            });
-            columnsort_net_in(ctx, role, m, k, &Word::Key, &|w: Word<u64>| w.expect_key())
-                .expect("shape is valid")
-                .expect("every processor owns a column")
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("degraded run failed: {e}");
-            std::process::exit(1);
-        });
-
-    println!("== channel outage drill: Columnsort on MCB({k}, {k}) ==");
-    println!(
-        "plan: channel 5 dies at cycle {}, channel 6 at cycle {} (of {fault_free} fault-free)",
-        fault_free * 2 / 5,
-        fault_free * 7 / 10
-    );
-    println!();
-    print!(
-        "{}",
-        render_timeline(&report.metrics, report.trace.as_ref().unwrap(), WIDTH)
-    );
-    println!();
-
-    let bound = mcb::algos::resilient::lemma_dilation_bound(&plan, fault_free);
-    println!(
-        "cycles: {} physical vs {} fault-free -> dilation x{}.{:02}, lemma bound {}",
-        report.metrics.cycles,
-        fault_free,
-        report.metrics.cycles / fault_free,
-        (report.metrics.cycles * 100 / fault_free) % 100,
-        bound
-    );
-    println!(
-        "faults fired: {} ({} planned deaths)",
-        report.metrics.faults.len(),
-        report.fault_summary.map_or(0, |s| s.deaths)
-    );
-    if report.metrics.cycles > bound {
-        eprintln!("FAIL: dilation exceeds the simulation lemma's bound");
-        std::process::exit(1);
-    }
-
-    // The degraded output must equal the fault-free answer.
-    let degraded: Vec<u64> = report
-        .results
-        .iter()
-        .flat_map(|r| r.as_ref().expect("no crashes planned"))
-        .filter_map(|x| *x)
-        .collect();
-    if !degraded.windows(2).all(|w| w[0] >= w[1]) {
-        eprintln!("FAIL: degraded output is not sorted: {degraded:?}");
-        std::process::exit(1);
-    }
-    let baseline = Resilient::new(FaultPlan::new(k, k))
-        .backend(Backend::Threaded)
-        .sort_columns(m, cols)
-        .expect("fault-free run");
-    let want: Vec<u64> = baseline
-        .columns
-        .iter()
-        .flatten()
-        .filter_map(|x| *x)
-        .collect();
-    if degraded != want {
-        eprintln!("FAIL: degraded output differs from the fault-free sort");
-        std::process::exit(1);
-    }
-    println!("OK: degraded output matches the fault-free sort, within the lemma bound");
-
-    // -- Act 2: the same kind of outage, but nobody is told ----------------
-    // A smaller shape keeps the all-read timeline readable. Channel 2 dies
-    // mid-run and processor 1 crashes later; the self-healing driver has no
-    // oracle — both faults must be detected from the wire.
-    let (hm, hk) = (12usize, 4usize);
-    let hvals = distinct_keys(hm * hk, &mut rng(5891));
-    let hcols: Vec<Vec<Option<u64>>> = (0..hk)
-        .map(|c| {
-            hvals[c * hm..(c + 1) * hm]
-                .iter()
-                .map(|&v| Some(v))
-                .collect()
-        })
-        .collect();
-    let hplan = FaultPlan::new(hk, hk)
+    let plan = FaultPlan::new(k, k)
         .kill_channel(ChanId(2), 25)
         .crash_proc(ProcId(1), 60);
 
-    println!();
-    println!("== act 2: unannounced death + crash, self-healing on MCB({hk}, {hk}) ==");
+    println!("== channel outage drill: self-healing on MCB({k}, {k}) ==");
     println!("plan: channel 2 dies at cycle 25, processor 1 crashes at cycle 60 — no oracle");
     println!();
 
     let mut healed = Vec::new();
     for backend in [Backend::Threaded, Backend::Pooled] {
-        let out = SelfHealing::new(hplan.clone())
+        let out = SelfHealing::new(plan.clone())
             .backend(backend)
             .record_trace(true)
-            .sort_columns(hm, hcols.clone())
+            .sort_columns(m, cols.clone())
             .unwrap_or_else(|e| {
                 eprintln!("self-healing run failed on {backend:?}: {e}");
                 std::process::exit(1);
@@ -214,9 +92,9 @@ fn main() {
         std::process::exit(1);
     }
     let healed_lin: Vec<u64> = got.into_iter().flatten().collect();
-    let mut hwant: Vec<u64> = hvals.clone();
-    hwant.sort_unstable_by(|a, b| b.cmp(a));
-    if healed_lin != hwant {
+    let mut want = vals;
+    want.sort_unstable_by(|a, b| b.cmp(a));
+    if healed_lin != want {
         eprintln!("FAIL: healed output differs from the fault-free sort");
         std::process::exit(1);
     }

@@ -508,12 +508,11 @@ fn metrics_details_agree_for_stragglers() {
 
 #[test]
 fn faulted_runs_replay_byte_identically_across_backends() {
-    // A resilient columnsort under a plan mixing a channel death with
-    // transient losses: results, metrics (including the fault log), and the
-    // JSONL export — fault_plan and fault records included — must be
-    // byte-identical across backends and across repeated runs from the
-    // same seed.
-    use mcb::algos::resilient::Resilient;
+    // A self-healing columnsort under a plan mixing a channel death with
+    // transient losses: results, metrics (including the fault log), the
+    // epoch log and the plan summary must be identical across backends
+    // and across repeated runs from the same plan.
+    use mcb::algos::heal::SelfHealing;
     use mcb::net::FaultPlan;
 
     let (m, k) = (12, 4);
@@ -530,7 +529,7 @@ fn faulted_runs_replay_byte_identically_across_backends() {
         .corrupt_message(11, ChanId(0));
 
     let run = |backend: Backend| {
-        Resilient::new(plan.clone())
+        SelfHealing::new(plan.clone())
             .backend(backend)
             .sort_columns(m, cols.clone())
             .unwrap()
@@ -551,12 +550,13 @@ fn faulted_runs_replay_byte_identically_across_backends() {
             threaded.metrics.faults, other.metrics.faults,
             "{label}: fault logs differ"
         );
+        assert_eq!(threaded.epochs, other.epochs, "{label}: epoch logs differ");
         assert_eq!(
             threaded.fault_summary, other.fault_summary,
             "{label}: fault summaries differ"
         );
     }
-    // The output is actually sorted and the dilation honored its bound.
+    // The output is actually sorted and the run honoured its bound.
     let lin: Vec<u64> = threaded
         .columns
         .iter()
@@ -564,16 +564,20 @@ fn faulted_runs_replay_byte_identically_across_backends() {
         .map(|x| x.unwrap())
         .collect();
     assert!(lin.windows(2).all(|w| w[0] >= w[1]));
-    assert!(threaded.metrics.cycles <= threaded.dilation_bound);
+    assert!(threaded.metrics.cycles <= threaded.cycle_bound);
     assert!(
         !threaded.metrics.faults.is_empty(),
         "plan must actually fire"
+    );
+    assert!(
+        !threaded.epochs.is_empty(),
+        "the death must force a reconfiguration"
     );
 }
 
 #[test]
 fn fault_jsonl_export_is_byte_identical_across_backends() {
-    // Raw (non-resilient) faulted run through the engine API, so the full
+    // Raw faulted run through the engine API, so the full
     // RunReport::to_jsonl — fault_plan line, per-fault lines, events — is
     // diffed byte-for-byte.
     use mcb::net::FaultPlan;

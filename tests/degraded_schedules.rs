@@ -1,16 +1,10 @@
-//! Static verification of degraded schedules, closed against the runtime:
-//! the §2 simulation lemma's channel remap is applied to emitted schedules
-//! (`mcb_check::degrade`), proved collision-free and within the lemma's
-//! dilation bound, and — for deaths at cycle 0, where the static and
-//! physical clocks coincide — replayed broadcast-for-broadcast against an
-//! engine trace of the *runtime* failover. One formula, two worlds, one
-//! test file.
+//! Static verification of degraded schedules: the §2 simulation lemma's
+//! channel remap is applied to emitted schedules (`mcb_check::degrade`),
+//! proved collision-free, and checked against the lemma's per-cycle
+//! dilation formula and its `⌈k/k'⌉` bound.
 
-use mcb_algos::sort::columns::{columnsort_net_in, ColumnRole};
 use mcb_algos::static_schedule::{ColumnsortNetSpec, PartialSumsSpec, StaticSchedule};
-use mcb_algos::Word;
-use mcb_check::{check_conformance, verify_degraded, Bounds, Outages};
-use mcb_net::{ChanId, FaultPlan, Network, ResilientOpts};
+use mcb_check::{verify_degraded, Bounds, Outages};
 
 /// The dilation the remap must produce: each logical cycle `t` costs
 /// `⌈k / live(t)⌉` physical cycles.
@@ -78,69 +72,4 @@ fn degrading_to_one_survivor_hits_the_lemma_bound_exactly() {
     // exactly k × the original cycle count — the lemma bound is tight.
     assert_eq!(r.dilation, 4 * schedule.cycle_count());
     assert_eq!(r.dilation, r.lemma_bound);
-}
-
-#[test]
-fn runtime_failover_replays_the_statically_degraded_schedule() {
-    // A death at cycle 0 makes the static (logical) and runtime (physical)
-    // clocks coincide: every logical cycle costs exactly ⌈k/k'⌉ physical
-    // cycles from the start, with no retries to shift the alignment. The
-    // engine's resilient columnsort must then broadcast precisely the
-    // degraded schedule's write side — same cycle, same writer, same
-    // *physical* channel.
-    let (m, k) = (12usize, 4usize);
-    let dead = ChanId(2);
-
-    let spec = ColumnsortNetSpec {
-        m,
-        k_cols: k,
-        dummies: true,
-    };
-    let outages = Outages::new(k).kill(dead.index(), 0);
-    let degraded = verify_degraded(&spec.emit(), &outages, &Bounds::none()).unwrap();
-    assert!(degraded.report.is_ok(), "{}", degraded.report);
-
-    let cols: Vec<Vec<Option<u64>>> = (0..k)
-        .map(|c| {
-            (0..m)
-                .map(|r| Some(((c * m + r) as u64).wrapping_mul(48271) % 65521))
-                .collect()
-        })
-        .collect();
-    let report = Network::new(k, k)
-        .record_trace(true)
-        .fault_plan(FaultPlan::new(k, k).kill_channel(dead, 0))
-        .run(move |ctx| {
-            ctx.set_resilient(Some(ResilientOpts::default()));
-            let me = ctx.id().index();
-            let role = Some(ColumnRole {
-                col: me,
-                data: cols[me].clone(),
-            });
-            columnsort_net_in(ctx, role, m, k, &Word::Key, &|msg: Word<u64>| {
-                msg.expect_key()
-            })
-            .expect("shape is valid")
-            .expect("every processor owns a column")
-        })
-        .unwrap();
-
-    // Same physical cycle count...
-    assert_eq!(
-        report.metrics.cycles,
-        degraded.schedule.cycle_count(),
-        "engine dilation diverges from the static remap"
-    );
-    // ...and a broadcast-for-broadcast replay of the remapped write side.
-    let log = report.trace.as_ref().unwrap().to_wire_log(k, k);
-    assert!(
-        log.events.iter().all(|e| e.chan != dead.index()),
-        "a broadcast used the dead channel"
-    );
-    let conf = check_conformance(&degraded.schedule, &log)
-        .unwrap_or_else(|e| panic!("trace does not replay the degraded schedule: {e}"));
-    assert_eq!(
-        conf.matched, report.metrics.messages,
-        "every broadcast must match a remapped intent"
-    );
 }

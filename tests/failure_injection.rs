@@ -4,9 +4,9 @@
 //! "the computation fails"; the harness must report, never hang or
 //! corrupt.
 
+use mcb::algos::heal::SelfHealing;
 use mcb::net::{
-    Backend, ChanId, FaultKind, FaultPlan, NetError, Network, ProcCtx, ProcId, ResilientOpts,
-    VirtualNetwork,
+    Backend, ChanId, FaultKind, FaultPlan, NetError, Network, ProcCtx, ProcId, VirtualNetwork,
 };
 
 const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Pooled];
@@ -326,26 +326,54 @@ fn stalled_processor_misses_exactly_its_blackout() {
 }
 
 #[test]
-fn exhausted_retransmissions_escalate_to_unrecoverable() {
-    // Resilient mode with a zero retry budget and a drop in the first
-    // window: the retransmit protocol must give up loudly, not loop.
-    for backend in BACKENDS {
-        let err = Network::new(2, 1)
-            .backend(backend)
-            .fault_plan(FaultPlan::new(2, 1).drop_message(0, ChanId(0)))
-            .run(|ctx: &mut ProcCtx<'_, u64>| {
-                ctx.set_resilient(Some(ResilientOpts { retries: 0 }));
-                if ctx.id().index() == 0 {
-                    ctx.write(ChanId(0), 7);
-                } else {
-                    ctx.read(ChanId(0));
-                }
-            })
-            .unwrap_err();
-        assert!(
-            matches!(err, NetError::Unrecoverable { attempts: 0, .. }),
-            "{backend:?}: got {err}"
-        );
+fn census_exhaustion_escalates_to_unrecoverable() {
+    // The epoch census is the layer that gives up: a sweep that proves
+    // nothing live, or a reconfiguration past the epoch cap, must fail the
+    // run loudly instead of looping. Which processor escalates first
+    // depends on scheduling, so only the variant, cycle and budget are
+    // pinned.
+    let (m, k) = (6usize, 2usize);
+    let cols: Vec<Vec<Option<u64>>> = (0..k)
+        .map(|c| (0..m).map(|r| Some((c * m + r) as u64 * 7 % 13)).collect())
+        .collect();
+    let cases = [
+        // Both channels dead from the start: the single census sweep of
+        // k × p = 4 cycles hears nothing.
+        (
+            SelfHealing::new(
+                FaultPlan::new(k, k)
+                    .kill_channel(ChanId(0), 0)
+                    .kill_channel(ChanId(1), 0),
+            )
+            .census_retries(0),
+            5,
+            1,
+        ),
+        // One death, detected in round 3, with no reconfiguration allowed.
+        (
+            SelfHealing::new(FaultPlan::new(k, k).kill_channel(ChanId(1), 3)).max_epochs(0),
+            4,
+            0,
+        ),
+    ];
+    for (healer, want_cycle, want_attempts) in cases {
+        for backend in [Backend::Threaded, Backend::Pooled, Backend::Vector] {
+            let err = healer
+                .clone()
+                .backend(backend)
+                .sort_columns(m, cols.clone())
+                .unwrap_err();
+            match err {
+                NetError::Unrecoverable {
+                    cycle, attempts, ..
+                } => assert_eq!(
+                    (cycle, attempts),
+                    (want_cycle, want_attempts),
+                    "{backend:?}"
+                ),
+                other => panic!("{backend:?}: expected Unrecoverable, got {other}"),
+            }
+        }
     }
 }
 
