@@ -13,7 +13,7 @@
 //! | §7.2  | [`sort::grouped`] | uneven distributions, `Θ(max{n/k, n_max})` cycles (Corollary 6) |
 //! | §8    | [`select`] | selection by rank, `Θ(p log(kn/p))` messages (Corollary 7), plus the naive sort-based and Shout-Echo baselines |
 //! | §1    | [`extrema`] | extrema finding (the related-work warm-up problem) via Partial-Sums |
-//! | §2    | [`static_schedule`] | the simulation lemma on fewer channels: emitted schedules remapped onto `k' < k` survivors and re-proved by `mcb_check::degrade` (run-time hosting: `mcb_net::virt`) |
+//! | §2    | [`static_schedule`] | the simulation lemma: emitted schedules remapped onto `k' < k` survivors, or folded onto fewer processors, and re-proved by `mcb_check::degrade` |
 //! | §2+§5/§8 | [`heal`] | self-healing variants with **no fault oracle**: wire-level detection, epoch reconfiguration, crash takeover |
 //! | service | [`batch`] | many sort/select jobs composed into one healed run: disjoint role groups, round-robin phase interleaving, per-tenant attribution |
 //! | §5 (oblivious) | [`networks`] | comparator-network compiler: Batcher / optimal small / multiway-merge networks packed onto `k` channels, proven sort-correct for **all** inputs by `mcb_check::symbolic` |

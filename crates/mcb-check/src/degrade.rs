@@ -21,7 +21,7 @@
 //! residues `c % k'`, so the map is injective per sub-cycle — two logical
 //! writers that did not collide cannot be made to collide. A writer and
 //! reader of the same logical channel share both `j` and the physical
-//! channel, so every delivery (and every [`Expect::Value`](crate::ir::Expect::Value) guarantee)
+//! channel, so every delivery (and every [`Expect::Value`] guarantee)
 //! survives. [`verify_degraded`] re-proves this with the real verifier
 //! rather than trusting the argument.
 //!
@@ -31,8 +31,21 @@
 //! one at physical cycle `t`. E15 (`tab_fault_dilation`) reads its
 //! dilation table off this module, and the `degraded_schedules`
 //! integration test pins the per-cycle formula.
+//!
+//! # Processor folding
+//!
+//! The lemma's other half runs an `MCB(p', k')` schedule on an `MCB(p, k)`
+//! with `g = p'/p` virtual processors per host, each message repeated `g`
+//! times. [`fold_schedule`] reduces the channels with [`remap_schedule`]
+//! (channels `k..k'` dead from cycle 0: class `c / k` on physical channel
+//! `c % k`) and then spreads every remapped cycle over `g × g` slots, so
+//! one virtual cycle costs exactly `g²·h` physical cycles with `h = k'/k`.
+//! [`verify_folded`] proves the input and the fold. E10
+//! (`tab_virtualization`) reads its overhead table off it.
 
-use crate::ir::{CheckedSchedule, CycleIntents, DataFlow, DataMove, Intent, Route};
+use crate::ir::{
+    CheckedSchedule, CycleIntents, DataFlow, DataMove, Expect, Intent, ReadIntent, Route,
+};
 use crate::report::Report;
 use crate::verify::{verify, Bounds};
 
@@ -125,6 +138,25 @@ pub enum DegradeError {
         /// The out-of-range channel.
         chan: usize,
     },
+    /// A fold needs every dimension `>= 1`, `p | p'` and `k | k'`.
+    FoldRatio {
+        /// The schedule's (virtual) `p'`.
+        virt_p: usize,
+        /// The schedule's (virtual) `k'`.
+        virt_k: usize,
+        /// The host's `p`.
+        p: usize,
+        /// The host's `k`.
+        k: usize,
+    },
+    /// A fold side has more channels than processors; the model needs
+    /// `k <= p` on the virtual and on the physical network.
+    KAboveP {
+        /// Processors of the offending side.
+        p: usize,
+        /// Channels of the offending side.
+        k: usize,
+    },
 }
 
 impl std::fmt::Display for DegradeError {
@@ -144,6 +176,18 @@ impl std::fmt::Display for DegradeError {
                 f,
                 "logical cycle {cycle}: P{proc} uses out-of-range channel {chan}; degrade the verified schedule, not a broken one"
             ),
+            DegradeError::FoldRatio {
+                virt_p,
+                virt_k,
+                p,
+                k,
+            } => write!(
+                f,
+                "cannot fold MCB({virt_p}, {virt_k}) onto MCB({p}, {k}): need p | p' and k | k', every dimension >= 1"
+            ),
+            DegradeError::KAboveP { p, k } => {
+                write!(f, "MCB({p}, {k}) has more channels than processors; the model needs k <= p")
+            }
         }
     }
 }
@@ -319,10 +363,177 @@ pub fn verify_degraded(
     })
 }
 
+/// Fold `schedule`, written for a virtual `MCB(p', k')`, onto a host
+/// `MCB(p, k)` (see the [module docs](self)), with `g = p'/p`.
+///
+/// Channels are reduced by [`remap_schedule`] with channels `k..k'` dead
+/// from cycle 0. Host `u` carries the virtual processors `v` with
+/// `v / g == u`, at local index `v mod g`, and every remapped cycle becomes
+/// `g × g` slots `(a_w, a_r)`. In slot `(a_w, a_r)` a host performs the
+/// write of its local `a_w` and the read of its local `a_r`:
+///
+/// * each virtual write goes out `g` times, once per `a_r`;
+/// * a virtual read keeps its [`Expect`] in the slot of its writer's local
+///   index and reads [`Expect::MaybeEmpty`] in the other `g − 1`;
+/// * idle slots stay, so every virtual cycle costs exactly `g²·h` cycles.
+///
+/// A [`DataFlow`] layer follows: a wire leg moves to its carrying slot and
+/// to the writer's and reader's hosts, a local move to its host.
+///
+/// A host's one-write/one-read port budget holds by construction: the IR
+/// keeps one intent per processor per cycle, so an over-subscribed port
+/// cannot be expressed. Only a lost delivery can, and [`verify`] reports
+/// it. What the fold cannot show is a collision between virtual writers
+/// with different local indices, which land in different slots; that is
+/// why [`verify_folded`] proves the input too. Virtual processors missing
+/// from a malformed (short) cycle fold to idle; the input's verdict names
+/// the malformed cycle.
+pub fn fold_schedule(
+    schedule: &CheckedSchedule,
+    p: usize,
+    k: usize,
+) -> Result<CheckedSchedule, DegradeError> {
+    let (virt_p, virt_k) = (schedule.p, schedule.k);
+    if [p, k, virt_p, virt_k].contains(&0) || virt_p % p != 0 || virt_k % k != 0 {
+        return Err(DegradeError::FoldRatio {
+            virt_p,
+            virt_k,
+            p,
+            k,
+        });
+    }
+    for (p, k) in [(virt_p, virt_k), (p, k)] {
+        if k > p {
+            return Err(DegradeError::KAboveP { p, k });
+        }
+    }
+    let g = virt_p / p;
+    let remapped = remap_schedule(
+        schedule,
+        &(k..virt_k).fold(Outages::new(virt_k), |o, c| o.kill(c, 0)),
+    )?;
+
+    let mut cycles = Vec::with_capacity(remapped.cycles.len() * g * g);
+    // Per channel, the local index of its (first) writer: the slot where
+    // its readers keep their Expect. An unwritten channel keeps it in
+    // slot 0, so a broken `Expect::Value` read stays broken.
+    let mut writer_slot: Vec<Option<usize>> = vec![None; k];
+    for cyc in &remapped.cycles {
+        let virt = |v: usize| cyc.intents.get(v).copied().unwrap_or_default();
+        writer_slot.fill(None);
+        for (v, intent) in cyc.intents.iter().enumerate() {
+            if let Some(w) = intent.write {
+                writer_slot[w.chan].get_or_insert(v % g);
+            }
+        }
+        for a_w in 0..g {
+            for a_r in 0..g {
+                let intents = (0..p)
+                    .map(|u| Intent {
+                        write: virt(u * g + a_w).write,
+                        read: virt(u * g + a_r).read.map(|r| ReadIntent {
+                            expect: if writer_slot[r.chan].unwrap_or(0) == a_w {
+                                r.expect
+                            } else {
+                                Expect::MaybeEmpty
+                            },
+                            ..r
+                        }),
+                    })
+                    .collect();
+                cycles.push(CycleIntents { intents });
+            }
+        }
+    }
+
+    let data = remapped.data.map(|d| DataFlow {
+        slots: d.slots,
+        moves: d
+            .moves
+            .into_iter()
+            .map(|mv| {
+                let route = match mv.route {
+                    Route::Local { proc } => Route::Local { proc: proc / g },
+                    Route::Wire {
+                        cycle,
+                        writer,
+                        chan,
+                        reader,
+                    } => Route::Wire {
+                        cycle: cycle
+                            .saturating_mul(g * g)
+                            .saturating_add(writer % g * g + reader % g),
+                        writer: writer / g,
+                        chan,
+                        reader: reader / g,
+                    },
+                };
+                DataMove { route, ..mv }
+            })
+            .collect(),
+    });
+
+    Ok(CheckedSchedule {
+        name: format!("{} (folded onto MCB({p}, {k}))", schedule.name),
+        p,
+        k,
+        cycles,
+        data,
+    })
+}
+
+/// The outcome of [`verify_folded`]: the folded schedule and the verdicts
+/// on both sides of the fold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FoldedReport {
+    /// The folded schedule on the host `MCB(p, k)`.
+    pub schedule: CheckedSchedule,
+    /// The verifier on the input schedule, which alone sees collisions
+    /// between virtual writers the fold puts in different slots.
+    pub input: Report,
+    /// The verifier on the folded schedule, with its exact cycle count
+    /// (`g²·h ×` the input's) and message count (`g ×` the input's)
+    /// asserted.
+    pub report: Report,
+}
+
+impl FoldedReport {
+    /// True when both the input and the folded schedule verify clean.
+    pub fn is_ok(&self) -> bool {
+        self.input.is_ok() && self.report.is_ok()
+    }
+}
+
+/// Fold `schedule` onto `MCB(p, k)` via [`fold_schedule`] and prove both
+/// sides: the input with the plain verifier, the fold with the exact
+/// bounds `cycles = g²·h·L` and `messages = g ×` the input's count (as an
+/// upper bound only when suppressible writes make the count a range).
+pub fn verify_folded(
+    schedule: &CheckedSchedule,
+    p: usize,
+    k: usize,
+) -> Result<FoldedReport, DegradeError> {
+    let folded = fold_schedule(schedule, p, k)?;
+    let g = (schedule.p / p) as u64;
+    let h = (schedule.k / k) as u64;
+    let (min, max) = schedule.message_bounds();
+    let bounds = Bounds {
+        cycles_exact: Some(g * g * h * schedule.cycle_count()),
+        messages_exact: (min == max).then_some(g * max),
+        messages_max: Some(g * max),
+        ..Bounds::none()
+    };
+    Ok(FoldedReport {
+        input: verify(schedule, &Bounds::none()),
+        report: verify(&folded, &bounds),
+        schedule: folded,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::ScheduleBuilder;
+    use crate::ir::{ScheduleBuilder, WriteIntent};
 
     /// p = k processors; cycle t has everyone reading proc t%p's broadcast
     /// spread over all k channels — a dense, all-channel schedule.
@@ -437,6 +648,59 @@ mod tests {
         let s = b.finish();
         let r = verify_degraded(&s, &Outages::new(2).kill(0, 0), &Bounds::none()).unwrap();
         assert!(!r.report.is_ok());
+    }
+
+    #[test]
+    fn fold_lays_each_virtual_cycle_over_g_by_g_slots() {
+        // MCB(4, 2) onto MCB(2, 2): g = 2, h = 1. Virtual P1 (host 0, local
+        // 1) writes channel 0; virtual P2 (host 1, local 0) reads it.
+        let mut b = ScheduleBuilder::new("one message", 4, 2);
+        b.begin_cycle();
+        b.write(1, 0);
+        b.read(2, 0);
+        let folded = fold_schedule(&b.finish(), 2, 2).unwrap();
+        assert_eq!((folded.p, folded.k, folded.cycle_count()), (2, 2, 4));
+        let read = |expect| Some(ReadIntent { chan: 0, expect });
+        let write = Some(WriteIntent {
+            chan: 0,
+            may_suppress: false,
+        });
+        // Slots in (a_w, a_r) order: the write goes out in both a_w = 1
+        // slots; the read keeps its Expect only in the writer's slot.
+        let slots: Vec<(Option<WriteIntent>, Option<ReadIntent>)> = folded
+            .cycles
+            .iter()
+            .map(|c| (c.intents[0].write, c.intents[1].read))
+            .collect();
+        assert_eq!(
+            slots,
+            vec![
+                (None, read(Expect::MaybeEmpty)),
+                (None, None),
+                (write, read(Expect::Value)),
+                (write, None),
+            ]
+        );
+        assert!(verify(&folded, &Bounds::none()).is_ok());
+    }
+
+    #[test]
+    fn fold_needs_k_at_most_p_on_both_sides() {
+        let empty = |p, k| CheckedSchedule {
+            name: "empty".into(),
+            p,
+            k,
+            cycles: Vec::new(),
+            data: None,
+        };
+        assert_eq!(
+            fold_schedule(&empty(2, 4), 1, 1),
+            Err(DegradeError::KAboveP { p: 2, k: 4 })
+        );
+        assert_eq!(
+            fold_schedule(&empty(4, 4), 2, 4),
+            Err(DegradeError::KAboveP { p: 2, k: 4 })
+        );
     }
 
     #[test]

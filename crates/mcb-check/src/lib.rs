@@ -25,8 +25,10 @@
 //!   lemma as a schedule transformation — remap a schedule onto the
 //!   channels surviving an outage plan (`⌈k/k'⌉` sub-cycles per logical
 //!   cycle) and re-prove collision-freedom plus the lemma's dilation bound
-//!   on the result. The same multiplexing formula the `mcb-net` runtime
-//!   uses for live channel failover, proved statically.
+//!   on the result; or fold an `MCB(p', k')` schedule onto an `MCB(p, k)`
+//!   host (`(p'/p)²(k'/k)` cycles per virtual cycle, each message
+//!   repeated `p'/p` times) and prove the fold with exact bounds. This is
+//!   the repo's one implementation of the lemma.
 //! * **Multi-epoch runs** ([`epochs`]): the same proof extended to
 //!   self-healing runs that reconfigure mid-flight — each epoch's
 //!   schedule is degraded and verified in its own configuration, and the
@@ -78,7 +80,10 @@ pub mod symbolic;
 pub mod verify;
 pub mod wire;
 
-pub use degrade::{remap_schedule, verify_degraded, DegradeError, DegradedReport, Outages};
+pub use degrade::{
+    fold_schedule, remap_schedule, verify_degraded, verify_folded, DegradeError, DegradedReport,
+    FoldedReport, Outages,
+};
 pub use epochs::{verify_epochs, EpochSegment, EpochsReport};
 pub use ir::{
     CheckedSchedule, CycleIntents, DataFlow, DataMove, Expect, Intent, ReadIntent, Route,

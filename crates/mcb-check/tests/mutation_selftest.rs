@@ -1,5 +1,6 @@
 //! The verifier's own acceptance test: seed faults into *real* schedules
-//! emitted by every algorithm and require 100% detection.
+//! emitted by every algorithm, and into a §2-folded one, and require 100%
+//! detection.
 //!
 //! [`seed_fault`] only commits mutations whose preconditions guarantee an
 //! invariant violation (a mutation that yields another valid schedule is
@@ -13,11 +14,14 @@ use mcb_algos::static_schedule::{
     ColumnsortNetSpec, DirectSortSpec, ExtremaSpec, GroupedSortSpec, NaiveSelectSpec,
     PartialSumsSpec, RankSortSpec, SelectSpec, StaticSchedule, TotalSpec, TransformSpec,
 };
-use mcb_check::{seed_fault, seed_net_fault, verify, verify_network, Bounds, Fault, NetFault};
+use mcb_check::{
+    fold_schedule, seed_fault, seed_net_fault, verify, verify_network, Bounds, CheckedSchedule,
+    Fault, NetFault,
+};
 use mcb_rng::Rng64;
 
-fn battery() -> Vec<(&'static str, Box<dyn StaticSchedule>)> {
-    vec![
+fn battery() -> Vec<(&'static str, CheckedSchedule)> {
+    let specs: Vec<(&'static str, Box<dyn StaticSchedule>)> = vec![
         ("partial_sums", Box::new(PartialSumsSpec { p: 13, k: 4 })),
         ("total", Box::new(TotalSpec { p: 7, k: 3 })),
         ("extrema", Box::new(ExtremaSpec { p: 8, k: 2 })),
@@ -69,15 +73,26 @@ fn battery() -> Vec<(&'static str, Box<dyn StaticSchedule>)> {
                 d: 10,
             }),
         ),
-    ]
+    ];
+    let mut battery: Vec<_> = specs.into_iter().map(|(n, s)| (n, s.emit())).collect();
+    // A §2 fold: the Transpose above, folded onto MCB(2, 2).
+    let transpose = TransformSpec {
+        transform: Transform::Transpose,
+        m: 12,
+        k: 4,
+    }
+    .emit();
+    let folded = fold_schedule(&transpose, 2, 2).expect("2 | 4 on both axes");
+    battery.push(("folded_transpose", folded));
+    battery
 }
 
 #[test]
 fn every_seeded_fault_is_detected_on_every_algorithm() {
     let mut rng = Rng64::seed_from_u64(0x5EED);
     let mut per_fault = [0u64; Fault::ALL.len()];
-    for (name, spec) in battery() {
-        let pristine = spec.emit();
+    let mut on_fold = [0u64; Fault::ALL.len()];
+    for (name, pristine) in battery() {
         assert!(
             verify(&pristine, &Bounds::none()).is_ok(),
             "{name}: battery schedule must start valid"
@@ -92,6 +107,9 @@ fn every_seeded_fault_is_detected_on_every_algorithm() {
                     continue;
                 };
                 per_fault[fi] += 1;
+                if name == "folded_transpose" {
+                    on_fold[fi] += 1;
+                }
                 let report = verify(&mutated, &Bounds::none());
                 assert!(
                     !report.is_ok(),
@@ -107,6 +125,11 @@ fn every_seeded_fault_is_detected_on_every_algorithm() {
             "{fault:?} never seeded across the battery"
         );
     }
+    // The fold must leave every fault class a site to seed.
+    assert!(
+        on_fold.iter().all(|&n| n > 0),
+        "fault classes seeded on the fold: {on_fold:?}"
+    );
     let seeded_total: u64 = per_fault.iter().sum();
     assert!(
         seeded_total > 200,

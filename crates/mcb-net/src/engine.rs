@@ -12,8 +12,8 @@
 //!
 //! Threads are synchronized with a [sense-reversing
 //! barrier](crate::barrier::SenseBarrier) three times per cycle: after
-//! writes, after reads, and after a per-cycle sweep (slot clearing, port
-//! validation, termination/failure checks) performed by the barrier winner.
+//! writes, after reads, and after a per-cycle sweep (slot clearing, clock,
+//! termination/failure checks) performed by the barrier winner.
 //!
 //! Although execution is multi-threaded, every observable quantity — results,
 //! cycle counts, message counts, traces — is deterministic for a
@@ -37,12 +37,12 @@ use crate::ids::{ChanId, ProcId};
 use crate::message::MsgWidth;
 use crate::metrics::{EngineProfile, LocalMetrics, LogHistogram, Metrics, PhaseMetrics};
 use crate::monitor::{MonitorCore, MonitorSnapshot, RunMonitor};
-use crate::phase::{PhaseScope, PhaseTarget};
+use crate::phase::PhaseScope;
 use crate::step::{Step, StepEnv, StepProtocol};
 use crate::sync::{Mutex, RwLock};
 use crate::trace::{Event, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -185,7 +185,6 @@ pub struct Network {
     channels: usize,
     record_trace: bool,
     profile: bool,
-    proc_groups: Option<Vec<usize>>,
     cycle_budget: u64,
     stall_window: u64,
     fault_plan: Option<Arc<FaultPlan>>,
@@ -203,7 +202,6 @@ impl Network {
             channels: k,
             record_trace: false,
             profile: false,
-            proc_groups: None,
             cycle_budget: DEFAULT_CYCLE_BUDGET,
             stall_window: DEFAULT_STALL_WINDOW,
             fault_plan: None,
@@ -236,15 +234,6 @@ impl Network {
     /// every barrier wait, so leave it off for cost-model measurements.
     pub fn profile(mut self, yes: bool) -> Self {
         self.profile = yes;
-        self
-    }
-
-    /// Group threads into physical processors for virtualization (§2
-    /// simulation lemma): `groups[i]` is the physical processor hosting
-    /// thread `i`. Each group is held to the model's one-write/one-read
-    /// port budget per cycle, enforced via [`NetError::PortViolation`].
-    pub fn proc_groups(mut self, groups: Vec<usize>) -> Self {
-        self.proc_groups = Some(groups);
         self
     }
 
@@ -322,30 +311,11 @@ impl Network {
         if self.channels == 0 {
             return Err(NetError::BadConfig("k must be >= 1".into()));
         }
-        if self.proc_groups.is_none() && self.channels > self.procs {
-            // The model assumes k <= p. Virtualized runs (proc_groups set)
-            // may use more threads than physical processors, so the check
-            // applies to the physical group count there.
+        if self.channels > self.procs {
             return Err(NetError::BadConfig(format!(
                 "model requires k <= p (got k = {}, p = {})",
                 self.channels, self.procs
             )));
-        }
-        if let Some(groups) = &self.proc_groups {
-            if groups.len() != self.procs {
-                return Err(NetError::BadConfig(format!(
-                    "proc_groups has {} entries for {} threads",
-                    groups.len(),
-                    self.procs
-                )));
-            }
-            let g = groups.iter().copied().max().map_or(0, |m| m + 1);
-            if self.channels > g {
-                return Err(NetError::BadConfig(format!(
-                    "model requires k <= physical p (got k = {}, groups = {g})",
-                    self.channels
-                )));
-            }
         }
         if let Some(plan) = &self.fault_plan {
             if plan.p() != self.procs || plan.k() != self.channels {
@@ -743,12 +713,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic>".into())
 }
 
-struct GroupState {
-    map: Vec<usize>,
-    writes: Vec<AtomicU32>,
-    reads: Vec<AtomicU32>,
-}
-
 /// Run state shared by all executors of one run: the channel slots, the
 /// clock, and the termination/failure machinery. The *semantics* of a cycle
 /// live in the methods here ([`apply_write`](Shared::apply_write),
@@ -795,7 +759,6 @@ pub(crate) struct Shared<M> {
     /// Phase-label interner: id -> name, id 0 reserved for "unlabelled".
     /// Locked only on label *transitions*, never per cycle or message.
     phases: Mutex<Vec<String>>,
-    groups: Option<GroupState>,
     cycle_budget: u64,
     /// Watchdog window: consecutive no-activity rounds tolerated before the
     /// run fails with [`NetError::Stalled`].
@@ -864,14 +827,6 @@ impl<M: Clone + Send + Sync> Shared<M> {
     /// Shared state for one run; `participants` is the barrier width (`p`
     /// for the threaded backend, the worker count for the pooled one).
     pub(crate) fn new(net: &Network, participants: usize) -> Self {
-        let groups = net.proc_groups.clone().map(|map| {
-            let g = map.iter().copied().max().map_or(0, |m| m + 1);
-            GroupState {
-                map,
-                writes: (0..g).map(|_| AtomicU32::new(0)).collect(),
-                reads: (0..g).map(|_| AtomicU32::new(0)).collect(),
-            }
-        });
         Shared {
             k: net.channels,
             slots: (0..net.channels)
@@ -888,7 +843,6 @@ impl<M: Clone + Send + Sync> Shared<M> {
             profile: net.profile,
             prof: Mutex::new(ProfAgg::default()),
             phases: Mutex::new(vec![String::new()]),
-            groups,
             cycle_budget: net.cycle_budget,
             stall_window: net.stall_window,
             last_activity_round: AtomicU64::new(0),
@@ -1011,9 +965,6 @@ impl<M: Clone + Send + Sync + MsgWidth> Shared<M> {
             }
         }
         let bits = m.bits() + if self.framing { FRAME_HEADER_BITS } else { 0 };
-        if let Some(gs) = &self.groups {
-            gs.writes[gs.map[id.index()]].fetch_add(1, Ordering::Relaxed);
-        }
         let mut slot = self.slots[c.index()].write();
         match &slot.msg {
             Some((first, _)) => {
@@ -1077,9 +1028,6 @@ impl<M: Clone + Send + Sync + MsgWidth> Shared<M> {
                 return FrameRead::Silence;
             }
         }
-        if let Some(gs) = &self.groups {
-            gs.reads[gs.map[id.index()]].fetch_add(1, Ordering::Relaxed);
-        }
         let slot = self.slots[c.index()].read();
         if slot.jammed {
             return FrameRead::Noise;
@@ -1091,8 +1039,8 @@ impl<M: Clone + Send + Sync + MsgWidth> Shared<M> {
     }
 
     /// Per-cycle sweep, run by exactly one executor after all reads: clear
-    /// slots, validate group ports, advance the clock, check the budget,
-    /// decide termination. Sets `done` when the run is over.
+    /// slots, advance the clock, check the budget, decide termination. Sets
+    /// `done` when the run is over.
     pub(crate) fn sweep(&self) {
         for slot in &self.slots {
             let mut s = slot.write();
@@ -1106,28 +1054,13 @@ impl<M: Clone + Send + Sync + MsgWidth> Shared<M> {
         self.tick();
     }
 
-    /// The slot-independent tail of [`sweep`](Self::sweep): validate group
-    /// ports, advance the clock, check the budget and the livelock
-    /// watchdog, decide termination. Split out so the vector backend —
+    /// The slot-independent tail of [`sweep`](Self::sweep): advance the
+    /// clock, check the budget and the livelock watchdog, decide
+    /// termination. Split out so the vector backend —
     /// which keeps the channel slots in its own columnar buffers and
     /// clears only the dirty ones — shares every decision that must not
     /// drift between backends.
     pub(crate) fn tick(&self) {
-        if let Some(gs) = &self.groups {
-            let cycle = self.round.load(Ordering::Relaxed);
-            for g in 0..gs.writes.len() {
-                let w = gs.writes[g].swap(0, Ordering::Relaxed);
-                let r = gs.reads[g].swap(0, Ordering::Relaxed);
-                if w > 1 || r > 1 {
-                    self.fail(NetError::PortViolation {
-                        cycle,
-                        group: g,
-                        writes: w,
-                        reads: r,
-                    });
-                }
-            }
-        }
         let completed = self.round.fetch_add(1, Ordering::Relaxed) + 1;
         if completed >= self.cycle_budget {
             self.fail(NetError::CycleBudgetExhausted {
@@ -1176,25 +1109,6 @@ impl<M: Clone + Send + Sync + MsgWidth> Shared<M> {
     #[inline]
     pub(crate) fn count_channel_message(&self, chan: usize) {
         self.chan_msgs[chan].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Charge one write against `proc`'s physical group port budget
-    /// (no-op without [`Network::proc_groups`]); mirrors the mark inside
-    /// `apply_write` for the vector driver's columnar write loop.
-    #[inline]
-    pub(crate) fn group_mark_write(&self, proc: usize) {
-        if let Some(gs) = &self.groups {
-            gs.writes[gs.map[proc]].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one read against `proc`'s physical group port budget; the
-    /// read-side counterpart of [`group_mark_write`](Self::group_mark_write).
-    #[inline]
-    pub(crate) fn group_mark_read(&self, proc: usize) {
-        if let Some(gs) = &self.groups {
-            gs.reads[gs.map[proc]].fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -1445,7 +1359,7 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
 
     /// Set phase `name` for a scope: the returned guard derefs to this
     /// context and restores the previous label when dropped.
-    pub fn phase_scope<'s>(&'s mut self, name: &str) -> PhaseScope<'s, Self> {
+    pub fn phase_scope<'s>(&'s mut self, name: &str) -> PhaseScope<'s, 'a, M> {
         PhaseScope::enter(self, name)
     }
 
@@ -1491,8 +1405,8 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
         };
         let winner = shared.barrier_wait(sense, &mut self.prof_barrier); // reads done
         if winner {
-            // Elected sweeper for this cycle: clear slots, validate ports,
-            // advance the clock, decide termination.
+            // Elected sweeper for this cycle: clear slots, advance the
+            // clock, decide termination.
             shared.sweep();
         }
         shared.barrier_wait(sense, &mut self.prof_barrier); // sweep visible
@@ -1507,16 +1421,6 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
         };
         shared.barrier_wait(sense, &mut self.prof_barrier); // write phase (no-op)
         self.finish_round()
-    }
-}
-
-impl<M: Clone + Send + Sync + MsgWidth> PhaseTarget for ProcCtx<'_, M> {
-    fn set_phase_label(&mut self, name: &str) {
-        self.phase(name);
-    }
-
-    fn phase_label(&self) -> &str {
-        &self.phase_name
     }
 }
 
@@ -1711,55 +1615,6 @@ mod tests {
         assert_eq!(cycles, vec![0, 0, 0, 2, 2, 2]);
         assert_eq!(trace.cycle_events(0).count(), 3);
         assert_eq!(trace.cycle_events(1).count(), 0);
-    }
-
-    #[test]
-    fn port_violation_detected_for_groups() {
-        // Threads 0 and 1 form one physical processor; both writing in the
-        // same cycle (on different channels) exceeds the physical write port.
-        let err = Network::new(4, 2)
-            .proc_groups(vec![0, 0, 1, 1])
-            .run(|ctx| {
-                let me = ctx.id().index();
-                if me < 2 {
-                    ctx.write(ChanId::from_index(me), 1u64);
-                } else {
-                    ctx.idle();
-                }
-            })
-            .unwrap_err();
-        match err {
-            NetError::PortViolation { group, writes, .. } => {
-                assert_eq!(group, 0);
-                assert_eq!(writes, 2);
-            }
-            other => panic!("expected port violation, got {other}"),
-        }
-    }
-
-    #[test]
-    fn group_budget_allows_one_write_one_read() {
-        let report = Network::new(4, 2)
-            .proc_groups(vec![0, 0, 1, 1])
-            .run(|ctx| {
-                // Within each group one thread writes and one reads: both
-                // physical processors stay inside the 1/1 port budget.
-                match ctx.id().index() {
-                    0 => {
-                        ctx.write(ChanId(0), 9u64);
-                        None
-                    }
-                    1 => ctx.read(ChanId(1)),
-                    2 => {
-                        ctx.write(ChanId(1), 8u64);
-                        None
-                    }
-                    _ => ctx.read(ChanId(0)),
-                }
-            })
-            .unwrap();
-        assert_eq!(report.results[1], Some(Some(8)));
-        assert_eq!(report.results[3], Some(Some(9)));
     }
 
     #[test]

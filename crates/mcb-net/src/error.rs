@@ -46,22 +46,6 @@ pub enum NetError {
         /// Number of channels in the network.
         k: usize,
     },
-    /// With processor grouping enabled (virtualization), a physical
-    /// processor exceeded its one-write or one-read port budget in a cycle.
-    ///
-    /// **Recovery:** stagger the virtual processors of the group so at most
-    /// one writes and one reads per cycle (the §2 simulation does this by
-    /// round-robin sub-cycles).
-    PortViolation {
-        /// Global cycle index.
-        cycle: u64,
-        /// The physical processor (group) that over-used a port.
-        group: usize,
-        /// Number of writes the group attempted this cycle.
-        writes: u32,
-        /// Number of reads the group attempted this cycle.
-        reads: u32,
-    },
     /// A processor's protocol closure panicked.
     ///
     /// **Recovery:** debug the protocol; the payload text and processor id
@@ -166,15 +150,6 @@ impl fmt::Display for NetError {
                 "{proc} addressed out-of-range channel index {} (k = {k}) at cycle {cycle}",
                 channel.0
             ),
-            NetError::PortViolation {
-                cycle,
-                group,
-                writes,
-                reads,
-            } => write!(
-                f,
-                "physical processor {group} used {writes} write / {reads} read ports at cycle {cycle} (budget is 1/1)"
-            ),
             NetError::ProcPanicked { proc, message } => {
                 write!(f, "protocol on {proc} panicked: {message}")
             }
@@ -235,12 +210,6 @@ mod tests {
                 channel: ChanId(9),
                 k: 4,
             },
-            NetError::PortViolation {
-                cycle: 3,
-                group: 1,
-                writes: 2,
-                reads: 0,
-            },
             NetError::ProcPanicked {
                 proc: ProcId(5),
                 message: "index out of bounds".into(),
@@ -267,7 +236,6 @@ mod tests {
         let expect_fragments: Vec<Vec<&str>> = vec![
             vec!["collision", "C3", "cycle 7", "P1", "P4"],
             vec!["P3", "9", "k = 4", "cycle 1"],
-            vec!["processor 1", "2 write", "0 read", "cycle 3"],
             vec!["P6", "panicked", "index out of bounds"],
             vec!["budget", "1000"],
             vec!["livelock", "cycle 512"],

@@ -33,7 +33,7 @@
 //! processors, and `mcb_algos::heal` replays the interrupted phase on
 //! them. The paper's §2 simulation lemma, which says how an `MCB(p, k)`
 //! schedule runs on `k' < k` survivors at `⌈k/k'⌉` dilation, lives in
-//! [`crate::virt`] at run time and in `mcb_check::degrade` statically.
+//! `mcb_check::degrade` as a schedule transformation the verifier proves.
 
 use crate::ids::{ChanId, ProcId};
 use mcb_json::Json;

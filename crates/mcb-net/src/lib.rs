@@ -58,7 +58,6 @@
 //! * [`engine`] — the executor ([`Network`], [`ProcCtx`], [`Backend`]).
 //! * [`step`] — protocols as resumable state machines ([`StepProtocol`],
 //!   run thread-free at scale by the pooled and vector backends).
-//! * [`virt`] — §2's simulation of a larger MCB on a smaller one.
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]): channel
 //!   deaths, transient losses, crashes and stalls, byte-identical across
 //!   backends.
@@ -100,7 +99,6 @@ mod sync;
 pub mod timeline;
 pub mod trace;
 mod vector;
-pub mod virt;
 
 pub use engine::{
     Backend, Network, ProcCtx, RunReport, DEFAULT_CYCLE_BUDGET, DEFAULT_STALL_WINDOW,
@@ -116,8 +114,7 @@ pub use metrics::{EngineProfile, LogHistogram, Metrics, PhaseMetrics};
 pub use monitor::{
     MonitorEvent, MonitorOpts, MonitorPhase, MonitorSnapshot, MonitorState, RunMonitor,
 };
-pub use phase::{PhaseScope, PhaseTarget};
+pub use phase::PhaseScope;
 pub use step::{Step, StepEnv, StepProtocol};
 pub use timeline::{render_timeline, render_timeline_with_epochs};
 pub use trace::{Event, Trace};
-pub use virt::{VirtCtx, VirtReport, VirtualNetwork};

@@ -3,8 +3,8 @@
 //! The paper states every cost bound *per phase* — Columnsort's eight
 //! transform phases (§5), selection's filtering rounds (§8), Partial-Sums'
 //! tree sweeps (§7.1) — so the engine lets protocols label the cycles they
-//! execute. A label set with [`ProcCtx::phase`](crate::ProcCtx::phase) (or
-//! [`StepEnv::phase`](crate::StepEnv::phase) / `VirtCtx::phase`) applies to
+//! execute. A label set with [`ProcCtx::phase`] (or
+//! [`StepEnv::phase`](crate::StepEnv::phase)) applies to
 //! every subsequent cycle and message of that processor until the label
 //! changes; the engine aggregates the per-processor tallies into the
 //! [`Metrics::phases`](crate::Metrics::phases) table and stamps trace
@@ -27,31 +27,20 @@
 //!
 //! Subroutines meant to be callable both standalone and from a larger
 //! labelled algorithm only set their own labels when the caller has not set
-//! one (checked via [`phase_label`](PhaseTarget::phase_label)); that way
+//! one (checked via [`ProcCtx::phase_label`]); that way
 //! selection's `filter:N` rounds subsume the sorts and partial-sums sweeps
 //! they contain, while a standalone partial-sums run still reports its
 //! sweeps.
 
+use crate::engine::ProcCtx;
+use crate::message::MsgWidth;
 use std::ops::{Deref, DerefMut};
-
-/// Anything that carries a current phase label ([`ProcCtx`](crate::ProcCtx)
-/// and [`VirtCtx`](crate::VirtCtx)).
-///
-/// The label is plain data: setting it never costs a cycle or a message.
-pub trait PhaseTarget {
-    /// Label all subsequent cycles/messages of this processor; `""` returns
-    /// to unlabelled.
-    fn set_phase_label(&mut self, name: &str);
-
-    /// The currently active label (`""` when unlabelled).
-    fn phase_label(&self) -> &str;
-}
 
 /// RAII guard that restores the previous phase label on drop.
 ///
-/// Created by [`ProcCtx::phase_scope`](crate::ProcCtx::phase_scope) (or the
-/// `VirtCtx` equivalent); derefs to the underlying context so the guarded
-/// region can keep issuing cycles:
+/// Created by [`ProcCtx::phase_scope`]; derefs to the underlying context so
+/// the guarded region can keep issuing cycles. The label is plain data:
+/// setting it never costs a cycle or a message.
 ///
 /// ```
 /// use mcb_net::{ChanId, Network};
@@ -74,35 +63,35 @@ pub trait PhaseTarget {
 /// assert_eq!(table[0].name, "exchange");
 /// assert_eq!((table[0].cycles, table[0].messages), (1, 1));
 /// ```
-pub struct PhaseScope<'s, C: PhaseTarget> {
-    ctx: &'s mut C,
+pub struct PhaseScope<'s, 'a, M: Clone + Send + Sync + MsgWidth> {
+    ctx: &'s mut ProcCtx<'a, M>,
     prev: String,
 }
 
-impl<'s, C: PhaseTarget> PhaseScope<'s, C> {
-    pub(crate) fn enter(ctx: &'s mut C, name: &str) -> Self {
+impl<'s, 'a, M: Clone + Send + Sync + MsgWidth> PhaseScope<'s, 'a, M> {
+    pub(crate) fn enter(ctx: &'s mut ProcCtx<'a, M>, name: &str) -> Self {
         let prev = ctx.phase_label().to_owned();
-        ctx.set_phase_label(name);
+        ctx.phase(name);
         PhaseScope { ctx, prev }
     }
 }
 
-impl<C: PhaseTarget> Deref for PhaseScope<'_, C> {
-    type Target = C;
-    fn deref(&self) -> &C {
+impl<'a, M: Clone + Send + Sync + MsgWidth> Deref for PhaseScope<'_, 'a, M> {
+    type Target = ProcCtx<'a, M>;
+    fn deref(&self) -> &ProcCtx<'a, M> {
         self.ctx
     }
 }
 
-impl<C: PhaseTarget> DerefMut for PhaseScope<'_, C> {
-    fn deref_mut(&mut self) -> &mut C {
+impl<M: Clone + Send + Sync + MsgWidth> DerefMut for PhaseScope<'_, '_, M> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
         self.ctx
     }
 }
 
-impl<C: PhaseTarget> Drop for PhaseScope<'_, C> {
+impl<M: Clone + Send + Sync + MsgWidth> Drop for PhaseScope<'_, '_, M> {
     fn drop(&mut self) {
         let prev = std::mem::take(&mut self.prev);
-        self.ctx.set_phase_label(&prev);
+        self.ctx.phase(&prev);
     }
 }

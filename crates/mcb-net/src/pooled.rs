@@ -18,7 +18,7 @@
 //! 2. **read phase** — each worker applies its units' reads
 //!    ([`Shared::apply_read`]); worker barrier;
 //! 3. **sweep** — the barrier winner runs [`Shared::sweep`] (slot clearing,
-//!    port validation, clock advance, budget and termination checks);
+//!    clock advance, budget and termination checks);
 //!    worker barrier;
 //! 4. **resume** — each worker hands every unit its read result and
 //!    collects the unit's next request (or its completion).

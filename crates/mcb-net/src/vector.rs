@@ -17,9 +17,9 @@
 //!    against the channel columns ([`Shared::apply_read`] semantics) and
 //!    account the cycle;
 //! 3. **sweep** — clear only the *dirty* channel columns, then run the
-//!    shared [`Shared::tick`] (port validation, clock, budget, watchdog,
-//!    termination) so every run-level decision is taken by the exact same
-//!    code as the other backends;
+//!    shared [`Shared::tick`] (clock, budget, watchdog, termination) so
+//!    every run-level decision is taken by the exact same code as the
+//!    other backends;
 //! 4. **collect** — wake sleepers that are due, then advance each active
 //!    machine by one [`step`](StepProtocol::step) call.
 //!
@@ -281,8 +281,8 @@ where
                 continue;
             };
             // Inlined `Shared::apply_write` over the columns, rule for
-            // rule: validation, fault suppression, framing jam, group port
-            // mark, collision, trace, accounting.
+            // rule: validation, fault suppression, framing jam, collision,
+            // trace, accounting.
             let id = ProcId::from_index(i);
             if c.index() >= k {
                 shared.fail(NetError::BadChannel {
@@ -311,7 +311,6 @@ where
                 continue;
             }
             let bits = m.bits() + if shared.framing { FRAME_HEADER_BITS } else { 0 };
-            shared.group_mark_write(i);
             match &slot_msg[c.index()] {
                 Some((first, _)) => {
                     shared.fail(NetError::Collision {
@@ -372,7 +371,6 @@ where
                         });
                         None
                     } else {
-                        shared.group_mark_read(i);
                         // A jammed slot reads as noise, which a step
                         // machine's two-way input folds to empty.
                         if slot_jam[c.index()] {

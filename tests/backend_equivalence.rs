@@ -226,31 +226,6 @@ fn error_classification_agrees_across_backends() {
             "{backend:?}"
         );
     }
-    // Port violation under proc_groups.
-    for backend in BACKENDS {
-        let err = Network::new(4, 2)
-            .backend(backend)
-            .proc_groups(vec![0, 0, 1, 1])
-            .run(|ctx| {
-                let me = ctx.id().index();
-                if me < 2 {
-                    ctx.write(ChanId::from_index(me), 1u64);
-                } else {
-                    ctx.idle();
-                }
-            })
-            .unwrap_err();
-        assert_eq!(
-            err,
-            NetError::PortViolation {
-                cycle: 0,
-                group: 0,
-                writes: 2,
-                reads: 0
-            },
-            "{backend:?}"
-        );
-    }
 }
 
 /// A token ring as a state machine: processor 0 injects a token, each

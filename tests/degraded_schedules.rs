@@ -1,10 +1,19 @@
 //! Static verification of degraded schedules: the §2 simulation lemma's
 //! channel remap is applied to emitted schedules (`mcb_check::degrade`),
 //! proved collision-free, and checked against the lemma's per-cycle
-//! dilation formula and its `⌈k/k'⌉` bound.
+//! dilation formula and its `⌈k/k'⌉` bound. The lemma's processor fold is
+//! proved the same way, with exact cycle and message counts, and shown to
+//! reject what it cannot express.
 
-use mcb_algos::static_schedule::{ColumnsortNetSpec, PartialSumsSpec, StaticSchedule};
-use mcb_check::{verify_degraded, Bounds, Outages};
+use mcb_algos::columnsort::Transform;
+use mcb_algos::static_schedule::{
+    ColumnsortNetSpec, PartialSumsSpec, StaticSchedule, TransformSpec,
+};
+use mcb_check::{
+    fold_schedule, verify_degraded, verify_folded, Bounds, CheckedSchedule, DegradeError, Outages,
+    ScheduleBuilder, Violation,
+};
+use mcb_rng::Rng64;
 
 /// The dilation the remap must produce: each logical cycle `t` costs
 /// `⌈k / live(t)⌉` physical cycles.
@@ -72,4 +81,127 @@ fn degrading_to_one_survivor_hits_the_lemma_bound_exactly() {
     // exactly k × the original cycle count — the lemma bound is tight.
     assert_eq!(r.dilation, 4 * schedule.cycle_count());
     assert_eq!(r.dilation, r.lemma_bound);
+}
+
+/// Seeded single-writer traffic on an `MCB(p, k)`: each cycle a random
+/// subset of channels gets distinct random writers, and every processor
+/// reads a random channel, expecting a value exactly where one is written.
+fn random_traffic(p: usize, k: usize, cycles: usize, rng: &mut Rng64) -> CheckedSchedule {
+    let mut b = ScheduleBuilder::new(&format!("random traffic p={p} k={k}"), p, k);
+    let mut procs: Vec<usize> = (0..p).collect();
+    for _ in 0..cycles {
+        b.begin_cycle();
+        rng.shuffle(&mut procs);
+        let mut written = vec![false; k];
+        for (chan, &proc) in procs.iter().take(k).enumerate() {
+            if rng.random_bool(0.75) {
+                b.write(proc, chan);
+                written[chan] = true;
+            }
+        }
+        for proc in 0..p {
+            let chan = rng.random_range(0..k);
+            if written[chan] {
+                b.read(proc, chan);
+            } else {
+                b.read_maybe_empty(proc, chan);
+            }
+        }
+    }
+    b.finish()
+}
+
+#[test]
+fn folds_verify_with_exact_bounds_on_random_traffic() {
+    let mut rng = Rng64::seed_from_u64(0xF01D);
+    for (vp, vk, p, k) in [
+        (4usize, 2usize, 2usize, 1usize),
+        (6, 3, 3, 3),
+        (8, 4, 4, 2),
+        (12, 6, 4, 2),
+        (8, 2, 2, 2),
+    ] {
+        let schedule = random_traffic(vp, vk, 4, &mut rng);
+        let r = verify_folded(&schedule, p, k).unwrap();
+        assert!(
+            r.is_ok(),
+            "({vp},{vk}) on ({p},{k}):\n{}\n{}",
+            r.input,
+            r.report
+        );
+        let (g, h) = ((vp / p) as u64, (vk / k) as u64);
+        assert_eq!(
+            r.schedule.cycle_count(),
+            g * g * h * 4,
+            "({vp},{vk}) on ({p},{k})"
+        );
+        let (_, messages) = schedule.message_bounds();
+        assert_eq!(r.schedule.message_bounds(), (g * messages, g * messages));
+    }
+}
+
+#[test]
+fn folding_cannot_mask_a_virtual_collision() {
+    // Virtual processors 0 and 1 share host 0 with local indices 0 and 1,
+    // and both write virtual channel 1: on a real MCB(4, 4) that fails.
+    let mut b = ScheduleBuilder::new("masked collision", 4, 4);
+    b.begin_cycle();
+    b.write(0, 1);
+    b.write(1, 1);
+    for reader in 2..4 {
+        b.read(reader, 1);
+    }
+    let schedule = b.finish();
+    let r = verify_folded(&schedule, 2, 2).unwrap();
+    // The two writes land in different slots, so the folded schedule alone
+    // verifies clean: only the input's verdict sees the collision.
+    assert!(r.report.is_ok(), "{}", r.report);
+    assert!(!r.is_ok());
+    assert_eq!(
+        r.input.violations,
+        vec![Violation::WriteCollision {
+            cycle: 0,
+            chan: 1,
+            writers: vec![0, 1],
+        }]
+    );
+}
+
+#[test]
+fn emitted_transpose_folds_with_its_data_flow() {
+    let schedule = TransformSpec {
+        transform: Transform::Transpose,
+        m: 12,
+        k: 4,
+    }
+    .emit();
+    let r = verify_folded(&schedule, 2, 2).unwrap();
+    assert!(r.is_ok(), "{}\n{}", r.input, r.report);
+    assert!(r.schedule.data.is_some());
+    assert_eq!(r.schedule.cycle_count(), 72);
+    assert_eq!(r.schedule.message_bounds(), (72, 72));
+}
+
+#[test]
+fn folds_with_bad_ratios_are_rejected() {
+    for (vp, vk, p, k) in [(6usize, 4usize, 4usize, 2usize), (8, 6, 4, 4), (8, 0, 4, 1)] {
+        // Built by hand: the builder refuses k' = 0.
+        let schedule = CheckedSchedule {
+            name: "empty".into(),
+            p: vp,
+            k: vk,
+            cycles: Vec::new(),
+            data: None,
+        };
+        assert_eq!(
+            fold_schedule(&schedule, p, k),
+            Err(DegradeError::FoldRatio {
+                virt_p: vp,
+                virt_k: vk,
+                p,
+                k,
+            }),
+            "({vp},{vk}) on ({p},{k})"
+        );
+    }
 }
