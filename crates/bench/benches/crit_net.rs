@@ -1,27 +1,43 @@
-//! E12c — threaded vs pooled vs vector backend wall-clock comparison.
+//! E12c — threaded vs vector backend wall-clock comparison.
 //!
 //! Runs the same single-channel rank sort (paper §5 flavor: broadcast every
 //! key, count smaller keys, then emit in rank order — `2p` cycles, `2p`
-//! messages, one channel) as a [`StepProtocol`] on all three execution
-//! backends and reports the wall-clock speedup over `Backend::Threaded` as
-//! `p` grows. At `p = 2048` on a small host the pooled backend is expected
-//! to win by well over 5x: the threaded backend pays for 2048 OS threads
-//! crossing three barriers per cycle, while the pooled backend advances
-//! 2048 state machines on `min(p, cores)` workers. The vector backend
-//! drops even the worker handoff — a single thread sweeping
-//! struct-of-arrays state — which is the regime E17 (`crit_vector`,
-//! `BENCH_vector.json`) explores up to `p = 2^20`.
+//! messages, one channel) on both execution backends, in two legs:
 //!
-//! Emits `target/experiments/crit_net.csv` (the table) and refreshes the
+//! * **Step leg** — the sort as a [`StepProtocol`], timed as `p` grows.
+//!   The threaded backend pays for `p` OS threads crossing three barriers
+//!   per cycle; the vector backend sweeps struct-of-arrays state from one
+//!   thread, the regime E17 (`crit_vector`, `BENCH_vector.json`) explores
+//!   up to `p = 2^20`. The threaded row stops at `p = 512` (every run
+//!   starts `p` OS threads); the vector row goes on to `p = 2048`. The
+//!   acceptance gate: vector at least 5x faster than threaded at
+//!   `p = 512`.
+//! * **Closure leg** — the sort as a [`ProcCtx`] closure at the shapes the
+//!   closure workloads run (`p` = 4 and 8 as in fault sweeps, 16, 37 as in
+//!   a full service batch, and 64): one OS thread per processor against
+//!   the vector backend's fiber driver. Wall-clock only, no gate; it
+//!   locates the crossover between the two closure executors.
+//!
+//! Emits `target/experiments/crit_net.csv` (both legs) and refreshes the
 //! checked-in `BENCH_backend.json` at the repository root (the acceptance
-//! artifact). Set `MCB_BENCH_QUICK=1` to skip the slow `p = 2048` threaded
-//! run during development.
+//! artifact). Set `MCB_BENCH_QUICK=1` for a shorter step leg
+//! (`p = 64, 256`) that leaves the JSON alone.
 
 use std::time::Duration;
 
 use mcb_bench::timing::{fmt_duration, measure, Stats};
 use mcb_bench::Table;
-use mcb_net::{Backend, ChanId, Network, ProcId, Step, StepEnv, StepProtocol};
+use mcb_net::{Backend, ChanId, Network, ProcCtx, ProcId, RunReport, Step, StepEnv, StepProtocol};
+
+/// Largest `p` the threaded step leg runs at.
+const THREADED_MAX_P: usize = 512;
+
+/// Processor `id`'s key. Odd-multiplier hash: bijective on u64, so keys
+/// are distinct and the rank order is a nontrivial permutation of the id
+/// order.
+fn key_of(id: ProcId) -> u64 {
+    (id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
 
 /// Single-channel rank sort over one key per processor, as a state machine.
 ///
@@ -42,11 +58,8 @@ struct RankSort {
 
 impl RankSort {
     fn new(id: ProcId) -> Self {
-        // Odd-multiplier hash: bijective on u64, so keys are distinct and
-        // the rank order is a nontrivial permutation of the id order.
-        let key = (id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         RankSort {
-            key,
+            key: key_of(id),
             turn: 0,
             rank: 0,
             out: 0,
@@ -83,128 +96,189 @@ impl StepProtocol<u64> for RankSort {
     }
 }
 
-fn rank_sort_once(p: usize, backend: Backend) -> Vec<u64> {
+/// The same rank sort as a closure: same cycles, same messages.
+fn rank_sort_closure(ctx: &mut ProcCtx<'_, u64>) -> u64 {
+    let (p, me) = (ctx.p(), ctx.id().index());
+    let key = key_of(ctx.id());
+    let mut rank = 0;
+    for t in 0..p {
+        let write = (t == me).then_some((ChanId(0), key));
+        if ctx
+            .cycle(write, Some(ChanId(0)))
+            .is_some_and(|seen| seen < key)
+        {
+            rank += 1;
+        }
+    }
+    let mut out = 0;
+    for t in 0..p {
+        let write = (t == rank).then_some((ChanId(0), key));
+        let seen = ctx.cycle(write, Some(ChanId(0)));
+        if t == me {
+            out = seen.expect("the rank-t holder broadcasts in cycle p + t");
+        }
+    }
+    out
+}
+
+/// Check one run's costs and output, and hand back the sorted keys.
+fn sorted_keys(p: usize, report: RunReport<u64, u64>) -> Vec<u64> {
+    assert_eq!(report.metrics.cycles, 2 * p as u64);
+    assert_eq!(report.metrics.messages, 2 * p as u64);
+    let keys = report.into_results();
+    assert!(keys.windows(2).all(|w| w[0] <= w[1]), "output not sorted");
+    keys
+}
+
+fn steps_once(p: usize, backend: Backend) -> Vec<u64> {
     let report = Network::new(p, 1)
         .backend(backend)
         .run_steps(RankSort::new)
         .unwrap();
-    assert_eq!(report.metrics.messages, 2 * p as u64);
-    report.into_results().into_iter().collect()
+    sorted_keys(p, report)
 }
 
+fn closures_once(p: usize, backend: Backend) -> Vec<u64> {
+    let report = Network::new(p, 1)
+        .backend(backend)
+        .run(rank_sort_closure)
+        .unwrap();
+    sorted_keys(p, report)
+}
+
+/// One `p` of either leg: threaded (when run) and vector timings.
 struct Measurement {
     p: usize,
-    threaded: Stats,
-    pooled: Stats,
+    threaded: Option<Stats>,
     vector: Stats,
+}
+
+impl Measurement {
+    fn speedup(&self) -> Option<f64> {
+        self.threaded.as_ref().map(|t| self.vector.speedup_over(t))
+    }
 }
 
 fn main() {
     let quick = std::env::var_os("MCB_BENCH_QUICK").is_some();
-    let ps: &[usize] = if quick { &[64, 256] } else { &[64, 512, 2048] };
+    let step_ps: &[usize] = if quick { &[64, 256] } else { &[64, 512, 2048] };
+    let closure_ps: &[usize] = &[4, 8, 16, 37, 64];
 
-    // Correctness gate before timing anything: every backend must produce
-    // the sorted sequence.
-    for backend in [Backend::Threaded, Backend::Pooled, Backend::Vector] {
-        let sorted = rank_sort_once(64, backend);
-        assert!(
-            sorted.windows(2).all(|w| w[0] <= w[1]),
-            "{backend:?}: rank sort output not sorted"
-        );
+    // Correctness gate before timing anything: both forms on both backends
+    // produce the same sorted sequence.
+    let want = steps_once(64, Backend::Threaded);
+    for backend in [Backend::Threaded, Backend::Vector] {
+        assert_eq!(steps_once(64, backend), want, "{backend:?} steps");
+        assert_eq!(closures_once(64, backend), want, "{backend:?} closures");
+    }
+
+    let mut steps = Vec::new();
+    for &p in step_ps {
+        let threaded =
+            (p <= THREADED_MAX_P).then(|| measure(3, || steps_once(p, Backend::Threaded)));
+        let vector = measure(5, || steps_once(p, Backend::Vector));
+        steps.push(Measurement {
+            p,
+            threaded,
+            vector,
+        });
+    }
+    let mut closures = Vec::new();
+    for &p in closure_ps {
+        let threaded = measure(5, || closures_once(p, Backend::Threaded));
+        let vector = measure(5, || closures_once(p, Backend::Vector));
+        closures.push(Measurement {
+            p,
+            threaded: Some(threaded),
+            vector,
+        });
     }
 
     let mut table = Table::new(
         "crit_net",
-        "E12c: threaded vs pooled vs vector backend, single-channel rank sort (2p cycles)",
-        &["p", "backend", "median", "mean", "speedup"],
+        "E12c: threaded vs vector backend, single-channel rank sort (2p cycles)",
+        &["form", "p", "backend", "median", "mean", "speedup"],
     );
-    let mut measurements = Vec::new();
-    for &p in ps {
-        // The threaded backend spawns p OS threads per run; keep its sample
-        // count minimal at large p (the gap it measures is order-of-magnitude).
-        let threaded_samples = if p >= 1024 { 1 } else { 3 };
-        let threaded = measure(threaded_samples, || rank_sort_once(p, Backend::Threaded));
-        let pooled = measure(5, || rank_sort_once(p, Backend::Pooled));
-        let vector = measure(5, || rank_sort_once(p, Backend::Vector));
-        table.row(vec![
-            p.to_string(),
-            "threaded".into(),
-            fmt_duration(threaded.median),
-            fmt_duration(threaded.mean),
-            "1.00".into(),
-        ]);
-        for (name, stats) in [("pooled", &pooled), ("vector", &vector)] {
+    for (form, rows) in [("step", &steps), ("closure", &closures)] {
+        for m in rows {
+            if let Some(t) = &m.threaded {
+                table.row(vec![
+                    form.into(),
+                    m.p.to_string(),
+                    "threaded".into(),
+                    fmt_duration(t.median),
+                    fmt_duration(t.mean),
+                    "1.00".into(),
+                ]);
+            }
             table.row(vec![
-                p.to_string(),
-                name.into(),
-                fmt_duration(stats.median),
-                fmt_duration(stats.mean),
-                format!("{:.2}", stats.speedup_over(&threaded)),
+                form.into(),
+                m.p.to_string(),
+                "vector".into(),
+                fmt_duration(m.vector.median),
+                fmt_duration(m.vector.mean),
+                m.speedup().map_or("-".into(), |s| format!("{s:.2}")),
             ]);
         }
-        measurements.push(Measurement {
-            p,
-            threaded,
-            pooled,
-            vector,
-        });
     }
     table.emit();
 
     if !quick {
-        write_bench_json(&measurements);
+        write_bench_json(&steps, &closures);
     }
 }
 
 /// Refresh the checked-in `BENCH_backend.json` acceptance artifact.
-fn write_bench_json(measurements: &[Measurement]) {
+fn write_bench_json(steps: &[Measurement], closures: &[Measurement]) {
     let secs = |d: Duration| format!("{:.6}", d.as_secs_f64());
     let epoch = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let mut rows = String::new();
-    for (i, m) in measurements.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            concat!(
-                "    {{\"p\": {}, \"cycles\": {}, ",
-                "\"threaded_median_s\": {}, \"threaded_samples\": {}, ",
-                "\"pooled_median_s\": {}, \"pooled_samples\": {}, ",
-                "\"vector_median_s\": {}, \"vector_samples\": {}, ",
-                "\"speedup\": {:.2}, \"vector_speedup\": {:.2}}}"
-            ),
-            m.p,
-            2 * m.p,
-            secs(m.threaded.median),
-            m.threaded.samples,
-            secs(m.pooled.median),
-            m.pooled.samples,
-            secs(m.vector.median),
-            m.vector.samples,
-            m.pooled.speedup_over(&m.threaded),
-            m.vector.speedup_over(&m.threaded),
-        ));
-    }
-    let gate = measurements
+    let rows = |ms: &[Measurement]| {
+        ms.iter()
+            .map(|m| {
+                let (t_s, t_n) = m
+                    .threaded
+                    .as_ref()
+                    .map_or(("null".into(), 0), |t| (secs(t.median), t.samples));
+                format!(
+                    concat!(
+                        "    {{\"p\": {}, \"cycles\": {}, ",
+                        "\"threaded_median_s\": {}, \"threaded_samples\": {}, ",
+                        "\"vector_median_s\": {}, \"vector_samples\": {}, ",
+                        "\"vector_speedup\": {}}}"
+                    ),
+                    m.p,
+                    2 * m.p,
+                    t_s,
+                    t_n,
+                    secs(m.vector.median),
+                    m.vector.samples,
+                    m.speedup().map_or("null".into(), |s| format!("{s:.2}")),
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",\n")
+    };
+    let gate = steps
         .iter()
-        .filter(|m| m.p >= 2048)
-        .map(|m| m.pooled.speedup_over(&m.threaded))
-        .fold(0.0f64, f64::max);
+        .find(|m| m.p == THREADED_MAX_P)
+        .and_then(Measurement::speedup)
+        .unwrap_or(0.0);
     let json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"crit_net (E12c)\",\n",
             "  \"command\": \"cargo bench -p mcb-bench --bench crit_net\",\n",
-            "  \"protocol\": \"single-channel rank sort as StepProtocol, 2p cycles, 2p messages\",\n",
+            "  \"protocol\": \"single-channel rank sort, 2p cycles, 2p messages, as a StepProtocol (steps) and as a ProcCtx closure (closures)\",\n",
             "  \"unix_time\": {epoch},\n",
             "  \"host_cores\": {cores},\n",
-            "  \"results\": [\n{rows}\n  ],\n",
+            "  \"steps\": [\n{steps}\n  ],\n",
+            "  \"closures\": [\n{closures}\n  ],\n",
             "  \"acceptance\": {{\n",
-            "    \"criterion\": \"pooled >= 5x faster than threaded at p >= 2048\",\n",
+            "    \"criterion\": \"vector >= 5x faster than threaded at p = {cap} (steps)\",\n",
             "    \"measured_speedup\": {gate:.2},\n",
             "    \"pass\": {pass}\n",
             "  }}\n",
@@ -212,7 +286,9 @@ fn write_bench_json(measurements: &[Measurement]) {
         ),
         epoch = epoch,
         cores = cores,
-        rows = rows,
+        steps = rows(steps),
+        closures = rows(closures),
+        cap = THREADED_MAX_P,
         gate = gate,
         pass = gate >= 5.0,
     );

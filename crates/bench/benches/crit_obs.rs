@@ -1,8 +1,8 @@
 //! E18 — observability overhead: phase labels and the live run monitor.
 //!
 //! Runs the same single-channel rank sort (2p cycles, 2p messages, as a
-//! [`StepProtocol`]) on the pooled *and* vector backends at `p = 512`
-//! under four instrumentation configurations:
+//! [`StepProtocol`]) on the vector backend at `p = 512` under four
+//! instrumentation configurations:
 //!
 //! | config      | phase labels | monitor attached | monitor polled |
 //! |-------------|--------------|------------------|----------------|
@@ -11,7 +11,7 @@
 //! | `monitored` | yes          | yes              | no             |
 //! | `polled`    | yes          | yes              | 1 kHz thread   |
 //!
-//! Three acceptance gates per backend, recorded in `BENCH_obs.json` —
+//! Three acceptance gates, recorded in `BENCH_obs.json` —
 //! each one a ratio of two configs that differ in exactly *one*
 //! dimension, so no gate is polluted by a neighbouring cost:
 //!
@@ -138,7 +138,8 @@ const CONFIGS: [Config; 4] = [
     },
 ];
 
-const BACKENDS: [(Backend, &str); 2] = [(Backend::Pooled, "pooled"), (Backend::Vector, "vector")];
+/// The backend measured, and its name in the gates and the JSON rows.
+const BACKEND: (Backend, &str) = (Backend::Vector, "vector");
 
 /// Gates, in milli-units (mirrored by `bench_gate`): phase labels within
 /// 1.25× of baseline; monitor-off (attached, unpolled) within 1.05× and
@@ -166,7 +167,6 @@ fn run_once(p: usize, backend: Backend, cfg: Config, monitor: Option<&RunMonitor
 }
 
 struct Row {
-    backend: &'static str,
     config: Config,
     stats: Stats,
     /// `median / backend baseline median`, in milli-units.
@@ -188,53 +188,51 @@ fn main() {
         format!("E18: observability overhead, rank sort p={p} (2p cycles), monitor on/off"),
         &["backend", "config", "median", "mean", "vs baseline"],
     );
+    let (backend, bname) = BACKEND;
     let mut rows: Vec<Row> = Vec::new();
-    for (backend, bname) in BACKENDS {
-        let mut base: Option<Stats> = None;
-        for cfg in CONFIGS {
-            let stats = match cfg.monitor {
-                Monitoring::Off => measure(samples, || run_once(p, backend, cfg, None)),
-                Monitoring::Attached => {
-                    let mon = RunMonitor::new();
-                    measure(samples, || run_once(p, backend, cfg, Some(&mon)))
-                }
-                Monitoring::Polled => {
-                    // A dashboard on another thread, snapshotting at 1 kHz
-                    // for the whole measurement window.
-                    let mon = RunMonitor::new();
-                    let stop = Arc::new(AtomicBool::new(false));
-                    let poller = {
-                        let (mon, stop) = (mon.clone(), stop.clone());
-                        thread::spawn(move || {
-                            let mut polls = 0u64;
-                            while !stop.load(Ordering::Acquire) {
-                                std::hint::black_box(mon.snapshot());
-                                polls += 1;
-                                thread::sleep(Duration::from_millis(1));
-                            }
-                            polls
-                        })
-                    };
-                    let stats = measure(samples, || run_once(p, backend, cfg, Some(&mon)));
-                    stop.store(true, Ordering::Release);
-                    let polls = poller.join().expect("poller thread");
-                    assert!(polls > 0, "the dashboard never got a snapshot in");
-                    stats
-                }
-            };
-            let baseline = *base.get_or_insert(stats);
-            rows.push(Row {
-                backend: bname,
-                config: cfg,
-                stats,
-                vs_baseline_milli: milli_ratio(&stats, &baseline),
-            });
-        }
+    let mut base: Option<Stats> = None;
+    for cfg in CONFIGS {
+        let stats = match cfg.monitor {
+            Monitoring::Off => measure(samples, || run_once(p, backend, cfg, None)),
+            Monitoring::Attached => {
+                let mon = RunMonitor::new();
+                measure(samples, || run_once(p, backend, cfg, Some(&mon)))
+            }
+            Monitoring::Polled => {
+                // A dashboard on another thread, snapshotting at 1 kHz
+                // for the whole measurement window.
+                let mon = RunMonitor::new();
+                let stop = Arc::new(AtomicBool::new(false));
+                let poller = {
+                    let (mon, stop) = (mon.clone(), stop.clone());
+                    thread::spawn(move || {
+                        let mut polls = 0u64;
+                        while !stop.load(Ordering::Acquire) {
+                            std::hint::black_box(mon.snapshot());
+                            polls += 1;
+                            thread::sleep(Duration::from_millis(1));
+                        }
+                        polls
+                    })
+                };
+                let stats = measure(samples, || run_once(p, backend, cfg, Some(&mon)));
+                stop.store(true, Ordering::Release);
+                let polls = poller.join().expect("poller thread");
+                assert!(polls > 0, "the dashboard never got a snapshot in");
+                stats
+            }
+        };
+        let baseline = *base.get_or_insert(stats);
+        rows.push(Row {
+            config: cfg,
+            stats,
+            vs_baseline_milli: milli_ratio(&stats, &baseline),
+        });
     }
 
     for r in &rows {
         table.row(vec![
-            r.backend.into(),
+            bname.into(),
             r.config.name.into(),
             fmt_duration(r.stats.median),
             fmt_duration(r.stats.mean),
@@ -273,41 +271,33 @@ struct Gate {
 }
 
 fn eval_gates(rows: &[Row]) -> Vec<Gate> {
-    let mut gates = Vec::new();
-    for (_, bname) in BACKENDS {
-        let stats = |config: &str| {
-            rows.iter()
-                .find(|r| r.backend == bname && r.config.name == config)
-                .map(|r| r.stats)
-                .expect("every config is measured")
-        };
-        let baseline = stats("baseline");
-        let phased = stats("phased");
-        // Each gate compares two configs differing in exactly one
-        // dimension: labels vs none, then monitor vs the labelled twin.
-        let labels = milli_ratio(&phased, &baseline);
-        let off = milli_ratio(&stats("monitored"), &phased);
-        let on = milli_ratio(&stats("polled"), &phased);
-        gates.push(Gate {
-            name: format!("{bname} phase labels"),
-            ratio_milli: labels,
-            gate_milli: GATE_PHASE_MILLI,
-            pass: labels <= GATE_PHASE_MILLI,
-        });
-        gates.push(Gate {
-            name: format!("{bname} monitor-off"),
-            ratio_milli: off,
-            gate_milli: GATE_OFF_MILLI,
-            pass: off <= GATE_OFF_MILLI,
-        });
-        gates.push(Gate {
-            name: format!("{bname} monitor-on"),
-            ratio_milli: on,
-            gate_milli: GATE_ON_MILLI,
-            pass: on <= GATE_ON_MILLI,
-        });
-    }
-    gates
+    let (_, bname) = BACKEND;
+    let stats = |config: &str| {
+        rows.iter()
+            .find(|r| r.config.name == config)
+            .map(|r| r.stats)
+            .expect("every config is measured")
+    };
+    let baseline = stats("baseline");
+    let phased = stats("phased");
+    // Each gate compares two configs differing in exactly one dimension:
+    // labels vs none, then monitor vs the labelled twin.
+    let labels = milli_ratio(&phased, &baseline);
+    let off = milli_ratio(&stats("monitored"), &phased);
+    let on = milli_ratio(&stats("polled"), &phased);
+    [
+        ("phase labels", labels, GATE_PHASE_MILLI),
+        ("monitor-off", off, GATE_OFF_MILLI),
+        ("monitor-on", on, GATE_ON_MILLI),
+    ]
+    .into_iter()
+    .map(|(what, ratio_milli, gate_milli)| Gate {
+        name: format!("{bname} {what}"),
+        ratio_milli,
+        gate_milli,
+        pass: ratio_milli <= gate_milli,
+    })
+    .collect()
 }
 
 /// Refresh the checked-in `BENCH_obs.json` acceptance artifact.
@@ -325,7 +315,7 @@ fn write_bench_json(p: usize, rows: &[Row], gates: &[Gate]) {
         .iter()
         .map(|r| {
             Json::obj()
-                .field("backend", r.backend)
+                .field("backend", BACKEND.1)
                 .field("config", r.config.name)
                 .field("phases", r.config.phases)
                 .field("monitor", r.config.monitor != Monitoring::Off)

@@ -1,14 +1,12 @@
 //! E17 — the vector (struct-of-arrays) backend at large `p`.
 //!
-//! Three measurements, all on a single host thread per backend worker:
+//! Three measurements, all on the vector backend's single driver thread:
 //!
 //! 1. **Dispatch sweep** (`p = 2^10 .. 2^20`): a fixed-work step protocol
 //!    where every processor is active every cycle (one writer, everyone
 //!    reads), sized so each run advances ~2^22 unit-cycles regardless of
-//!    `p`. This isolates per-unit-cycle *dispatch* cost — the pooled
-//!    backend's worker handoff vs the vector backend's columnar sweep —
-//!    and locates the crossover. The acceptance gate lives here: vector
-//!    throughput must be >= pooled throughput at every `p >= 2^14`.
+//!    `p`. This isolates the columnar sweep's per-unit-cycle *dispatch*
+//!    cost and how it grows with `p` (cache footprint, not work).
 //! 2. **Networked Columnsort at `p = 10^5`** ([`columnsort_steps`]):
 //!    32 column owners sort a 1024 x 32 padded matrix while 99,968
 //!    processors idle via [`Step::IdleFor`] — the workload the vector
@@ -24,7 +22,7 @@
 //! scheduling overhead — not communication — dominates the simulation.
 //!
 //! Emits `target/experiments/crit_vector.csv` and refreshes the checked-in
-//! `BENCH_vector.json` at the repository root (the acceptance artifact).
+//! `BENCH_vector.json` at the repository root.
 //! Set `MCB_BENCH_QUICK=1` for a reduced sweep that skips the JSON.
 
 use std::time::Duration;
@@ -166,13 +164,13 @@ fn columnsort_once(p: usize, m: usize, k_cols: usize, backend: Backend) -> u64 {
 struct SweepRow {
     p: usize,
     cycles: u64,
-    pooled: Stats,
     vector: Stats,
 }
 
 impl SweepRow {
-    fn throughput(&self, s: &Stats) -> f64 {
-        sweep_units(self.p, self.cycles) as f64 / s.median.as_secs_f64()
+    /// Unit-cycles per second at the median.
+    fn throughput(&self) -> f64 {
+        sweep_units(self.p, self.cycles) as f64 / self.vector.median.as_secs_f64()
     }
 }
 
@@ -188,49 +186,26 @@ fn main() {
 
     let mut table = Table::new(
         "crit_vector",
-        "E17: pooled vs vector dispatch cost, all-active protocol (~2^22 unit-cycles/run)",
-        &[
-            "p",
-            "cycles",
-            "backend",
-            "median",
-            "Munits/s",
-            "vector/pooled",
-        ],
+        "E17: vector dispatch cost, all-active protocol (~2^22 unit-cycles/run)",
+        &["p", "cycles", "median", "Munits/s"],
     );
     let mut sweep = Vec::new();
     for &p in ps {
         let cycles = (WORK / p as u64).max(8);
         let samples = if p >= 1 << 16 { 2 } else { 3 };
-        let pooled = measure(samples, || sweep_once(p, cycles, Backend::Pooled));
         let vector = measure(samples, || sweep_once(p, cycles, Backend::Vector));
-        let row = SweepRow {
-            p,
-            cycles,
-            pooled,
-            vector,
-        };
-        let ratio = row.throughput(&row.vector) / row.throughput(&row.pooled);
-        for (name, stats) in [("pooled", &row.pooled), ("vector", &row.vector)] {
-            table.row(vec![
-                p.to_string(),
-                cycles.to_string(),
-                name.into(),
-                fmt_duration(stats.median),
-                format!("{:.1}", row.throughput(stats) / 1e6),
-                if name == "vector" {
-                    format!("{ratio:.2}")
-                } else {
-                    "1.00".into()
-                },
-            ]);
-        }
+        let row = SweepRow { p, cycles, vector };
+        table.row(vec![
+            p.to_string(),
+            cycles.to_string(),
+            fmt_duration(row.vector.median),
+            format!("{:.1}", row.throughput() / 1e6),
+        ]);
         sweep.push(row);
     }
     table.emit();
 
-    // Headline workloads on the vector backend (pooled alongside where it
-    // is not prohibitively slow on this host).
+    // Headline workloads.
     let (cs_p, cs_m, cs_k) = (100_000, 1024, 32);
     let cs_cycles = columnsort_once(cs_p, cs_m, cs_k, Backend::Vector);
     let cs_vector = measure(3, || columnsort_once(cs_p, cs_m, cs_k, Backend::Vector));
@@ -242,27 +217,23 @@ fn main() {
 
     let rs_p = if quick { 1 << 10 } else { 1 << 12 };
     let rs_vector = measure(3, || rank_sort_once(rs_p, Backend::Vector));
-    let rs_pooled = measure(3, || rank_sort_once(rs_p, Backend::Pooled));
     println!(
-        "rank sort p={rs_p} (2p cycles, all active): vector median {}, pooled median {}\n",
-        fmt_duration(rs_vector.median),
-        fmt_duration(rs_pooled.median)
+        "rank sort p={rs_p} (2p cycles, all active): vector median {}\n",
+        fmt_duration(rs_vector.median)
     );
 
     if !quick {
-        write_bench_json(&sweep, cs_cycles, &cs_vector, rs_p, &rs_vector, &rs_pooled);
+        write_bench_json(&sweep, cs_cycles, &cs_vector, rs_p, &rs_vector);
     }
 }
 
-/// Refresh the checked-in `BENCH_vector.json` acceptance artifact.
-#[allow(clippy::too_many_arguments)]
+/// Refresh the checked-in `BENCH_vector.json` artifact.
 fn write_bench_json(
     sweep: &[SweepRow],
     cs_cycles: u64,
     cs_vector: &Stats,
     rs_p: usize,
     rs_vector: &Stats,
-    rs_pooled: &Stats,
 ) {
     let secs = |d: Duration| format!("{:.6}", d.as_secs_f64());
     let epoch = std::time::SystemTime::now()
@@ -275,31 +246,18 @@ fn write_bench_json(
         if i > 0 {
             rows.push_str(",\n");
         }
-        let ratio = r.throughput(&r.vector) / r.throughput(&r.pooled);
         rows.push_str(&format!(
             concat!(
                 "    {{\"p\": {}, \"cycles\": {}, \"unit_cycles\": {}, ",
-                "\"pooled_median_s\": {}, \"vector_median_s\": {}, ",
-                "\"pooled_units_per_s\": {:.0}, \"vector_units_per_s\": {:.0}, ",
-                "\"vector_over_pooled\": {:.2}}}"
+                "\"vector_median_s\": {}, \"vector_units_per_s\": {:.0}}}"
             ),
             r.p,
             r.cycles,
             sweep_units(r.p, r.cycles),
-            secs(r.pooled.median),
             secs(r.vector.median),
-            r.throughput(&r.pooled),
-            r.throughput(&r.vector),
-            ratio,
+            r.throughput(),
         ));
     }
-    // Gate: vector throughput >= pooled throughput at every p >= 2^14.
-    let gated: Vec<&SweepRow> = sweep.iter().filter(|r| r.p >= 1 << 14).collect();
-    let worst = gated
-        .iter()
-        .map(|r| r.throughput(&r.vector) / r.throughput(&r.pooled))
-        .fold(f64::INFINITY, f64::min);
-    let pass = !gated.is_empty() && worst >= 1.0;
     let json = format!(
         concat!(
             "{{\n",
@@ -312,12 +270,7 @@ fn write_bench_json(
             "  \"columnsort\": {{\"p\": 100000, \"m\": 1024, \"k_cols\": 32, ",
             "\"net_cycles\": {cs_cycles}, \"vector_median_s\": {cs_s}, \"samples\": {cs_n}}},\n",
             "  \"rank_sort\": {{\"p\": {rs_p}, \"cycles\": {rs_cycles}, ",
-            "\"vector_median_s\": {rs_s}, \"pooled_median_s\": {rp_s}, \"samples\": {rs_n}}},\n",
-            "  \"acceptance\": {{\n",
-            "    \"criterion\": \"vector >= pooled unit-cycle throughput at every p >= 2^14\",\n",
-            "    \"worst_ratio\": {worst:.2},\n",
-            "    \"pass\": {pass}\n",
-            "  }}\n",
+            "\"vector_median_s\": {rs_s}, \"samples\": {rs_n}}}\n",
             "}}\n"
         ),
         epoch = epoch,
@@ -329,10 +282,7 @@ fn write_bench_json(
         rs_p = rs_p,
         rs_cycles = 2 * rs_p,
         rs_s = secs(rs_vector.median),
-        rp_s = secs(rs_pooled.median),
         rs_n = rs_vector.samples,
-        worst = worst,
-        pass = pass,
     );
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")

@@ -51,7 +51,12 @@ fn main() {
                 let outages = (0..d).fold(Outages::new(k), |o, c| o.kill(c, at));
                 let out = verify_degraded(&schedule, &outages, &Bounds::none())
                     .expect("a channel survives");
-                assert!(out.report.is_ok(), "k={k} d={d} at={at}:\n{}", out.report);
+                assert!(
+                    out.is_ok(),
+                    "k={k} d={d} at={at}:\n{}\n{}",
+                    out.input,
+                    out.report
+                );
                 let kp = k - d;
                 let h = k.div_ceil(kp) as u64;
                 assert_eq!(out.lemma_bound, h * fault_free, "k={k} d={d}");

@@ -352,7 +352,7 @@ mod tests {
         let (prog, want) = mixed_batch(5);
         let p = HealProgram::<u64>::roles(&prog);
         drop(prog);
-        for backend in [Backend::Threaded, Backend::Pooled, Backend::Vector] {
+        for backend in [Backend::Threaded, Backend::Vector] {
             let plan = FaultPlan::new(p, k)
                 .kill_channel(ChanId(1), 4)
                 .crash_proc(ProcId(2), 9);

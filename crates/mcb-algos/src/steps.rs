@@ -21,7 +21,7 @@
 //!
 //! Both machines produce byte-identical [`Metrics`](mcb_net::Metrics)
 //! (cycles, messages, bits, phase tables) to their closure counterparts;
-//! the tests below pin that identity across all three backends.
+//! the tests below pin that identity on both backends.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -510,7 +510,7 @@ mod tests {
     use crate::sort::{columnsort_net_in, rank_sort_single_channel, ColumnRole};
     use mcb_workloads::{distributions, rng};
 
-    const BACKENDS: [Backend; 3] = [Backend::Threaded, Backend::Pooled, Backend::Vector];
+    const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Vector];
 
     #[test]
     fn rank_sort_steps_match_closure_on_all_backends() {

@@ -272,8 +272,8 @@ pub fn remap_schedule(
 
     // Pass 2: retarget the data layer's wire legs onto the carrying
     // sub-cycle broadcasts. Routes naming out-of-range cycles/channels are
-    // kept verbatim — the verifier reports them against the degraded
-    // schedule just as it would against the original.
+    // kept verbatim. The longer degraded schedule may give such a route a
+    // broadcast to match, so `verify_degraded` also proves the input.
     let data = schedule.data.as_ref().map(|d| DataFlow {
         slots: d.slots,
         moves: d
@@ -316,11 +316,16 @@ pub fn remap_schedule(
 }
 
 /// The outcome of [`verify_degraded`]: the remapped schedule, the
-/// verifier's verdict on it, and the dilation accounting.
+/// verdicts on both sides of the remap, and the dilation accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedReport {
     /// The remapped schedule (inspectable, re-verifiable, exportable).
     pub schedule: CheckedSchedule,
+    /// The verifier on the input schedule, which alone sees a wire route
+    /// naming a cycle past the input's end: the remap keeps such a route
+    /// verbatim, and it may match a real broadcast in the longer degraded
+    /// schedule.
+    pub input: Report,
     /// The full verifier run on the degraded schedule, with
     /// `cycles_max = lemma_bound` asserted on top of any caller bounds.
     pub report: Report,
@@ -330,13 +335,20 @@ pub struct DegradedReport {
     pub lemma_bound: u64,
 }
 
+impl DegradedReport {
+    /// True when both the input and the degraded schedule verify clean.
+    pub fn is_ok(&self) -> bool {
+        self.input.is_ok() && self.report.is_ok()
+    }
+}
+
 /// Degrade `schedule` under `outages` and prove the result: remap via
 /// [`remap_schedule`], then run the full verifier with the lemma's cycle
 /// bound (`⌈k / min k'⌉ ×` original cycles) asserted via
 /// [`Bounds::cycles_max`] on top of the caller's `bounds`. Collision
 /// freedom, read-validity, and the data-flow permutation are all re-proved
-/// on the remapped schedule; [`DegradedReport::report`]`.is_ok()` is the
-/// verdict.
+/// on the remapped schedule, and the input is proved with the plain
+/// verifier; [`DegradedReport::is_ok`] is the verdict.
 ///
 /// Caller `bounds` apply to the *degraded* schedule; a caller
 /// `cycles_max` tighter than the lemma bound wins.
@@ -358,6 +370,7 @@ pub fn verify_degraded(
     Ok(DegradedReport {
         dilation: degraded.cycle_count(),
         schedule: degraded,
+        input: verify(schedule, &Bounds::none()),
         report,
         lemma_bound,
     })
@@ -557,7 +570,7 @@ mod tests {
         assert_eq!(d.p, s.p);
         assert_eq!(d.k, s.k);
         let r = verify_degraded(&s, &Outages::new(4), &Bounds::none()).unwrap();
-        assert!(r.report.is_ok(), "{}", r.report);
+        assert!(r.is_ok(), "{}\n{}", r.input, r.report);
         assert_eq!(r.dilation, 6);
         assert_eq!(r.lemma_bound, 6);
     }
@@ -569,7 +582,7 @@ mod tests {
         // (1 sub-cycle), cycles 2..6 at k' = 3 (ceil(4/3) = 2 sub-cycles).
         let outages = Outages::new(4).kill(1, 2);
         let r = verify_degraded(&s, &outages, &Bounds::none()).unwrap();
-        assert!(r.report.is_ok(), "{}", r.report);
+        assert!(r.is_ok(), "{}\n{}", r.input, r.report);
         assert_eq!(r.dilation, 2 + 4 * 2);
         assert_eq!(r.lemma_bound, 2 * 6);
         assert!(r.dilation <= r.lemma_bound);
@@ -588,7 +601,7 @@ mod tests {
         let s = dense(3, 2);
         let outages = Outages::new(3).kill(0, 0).kill(2, 0);
         let r = verify_degraded(&s, &outages, &Bounds::none()).unwrap();
-        assert!(r.report.is_ok(), "{}", r.report);
+        assert!(r.is_ok(), "{}\n{}", r.input, r.report);
         // k' = 1 from the start: every logical cycle becomes 3 sub-cycles,
         // all traffic on channel 1.
         assert_eq!(r.dilation, 6);
@@ -620,7 +633,7 @@ mod tests {
         // The cycle-1 broadcast moved to channel 1 (the survivor); its wire
         // route must have moved with it or the verifier would flag a
         // WireMoveMismatch.
-        assert!(r.report.is_ok(), "{}", r.report);
+        assert!(r.is_ok(), "{}\n{}", r.input, r.report);
     }
 
     #[test]
@@ -716,7 +729,7 @@ mod tests {
         let r = verify_degraded(&s, &outages, &tight).unwrap();
         assert!(!r.report.is_ok());
         let r = verify_degraded(&s, &outages, &Bounds::none()).unwrap();
-        assert!(r.report.is_ok(), "{}", r.report);
+        assert!(r.is_ok(), "{}\n{}", r.input, r.report);
         assert_eq!(r.dilation, 8);
     }
 }

@@ -79,7 +79,7 @@ pub struct EpochsReport {
 impl EpochsReport {
     /// Did every epoch's degraded schedule verify clean?
     pub fn is_ok(&self) -> bool {
-        self.reports.iter().all(|r| r.report.is_ok())
+        self.reports.iter().all(DegradedReport::is_ok)
     }
 
     /// Indices of epochs whose verification failed.
@@ -87,7 +87,7 @@ impl EpochsReport {
         self.reports
             .iter()
             .enumerate()
-            .filter(|(_, r)| !r.report.is_ok())
+            .filter(|(_, r)| !r.is_ok())
             .map(|(i, _)| i)
             .collect()
     }
@@ -183,6 +183,27 @@ mod tests {
             EpochSegment::healthy(b.finish()),
         ];
         let r = verify_epochs(&segs, 5, &Bounds::none()).unwrap();
+        assert!(!r.is_ok());
+        assert_eq!(r.failed_epochs(), vec![1]);
+    }
+
+    #[test]
+    fn an_epoch_whose_input_fails_is_named() {
+        // A wire route naming a cycle past the schedule's end: the remap
+        // keeps it verbatim and the degraded schedule gives it a match, so
+        // only the epoch's input verdict catches it.
+        let mut b = ScheduleBuilder::new("stray route", 2, 2);
+        b.begin_cycle();
+        b.write(0, 1);
+        b.read(1, 1);
+        b.declare_slots(1);
+        b.wire_move(1, 0, 1, 1, 0, 0);
+        let segs = [
+            EpochSegment::healthy(all_read(2, 2, 2)),
+            EpochSegment::degraded(b.finish(), vec![0]),
+        ];
+        let r = verify_epochs(&segs, 5, &Bounds::none()).unwrap();
+        assert!(r.reports[1].report.is_ok());
         assert!(!r.is_ok());
         assert_eq!(r.failed_epochs(), vec![1]);
     }

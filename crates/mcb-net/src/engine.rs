@@ -58,7 +58,7 @@ pub const DEFAULT_STALL_WINDOW: u64 = 1_000_000;
 
 /// How [`Network::run`] maps logical processors onto OS threads.
 ///
-/// All backends execute the same cycle semantics and produce **identical**
+/// Both backends execute the same cycle semantics and produce **identical**
 /// observable behavior — results, [`Metrics`], [`Trace`], and error
 /// classification — for any collision-free protocol; they differ only in
 /// wall-clock cost:
@@ -66,26 +66,21 @@ pub const DEFAULT_STALL_WINDOW: u64 = 1_000_000;
 /// * [`Threaded`](Backend::Threaded) runs each logical processor on its own
 ///   OS thread, synchronized by a sense-reversing barrier three times per
 ///   cycle. Lowest latency while `p` is at most a few times the core count;
-///   degrades badly when thousands of threads contend for a few cores.
-/// * [`Pooled`](Backend::Pooled) batches all `p` logical processors across
-///   `min(p, available cores)` worker threads that advance them
-///   cycle-by-cycle, so barrier width is the worker count, not `p`. Closure
-///   protocols are suspended on parked helper threads that wake only for
-///   their own compute slice; [`StepProtocol`] state machines (see
-///   [`Network::run_steps`]) need no per-processor threads at all. This is
-///   the backend that makes `p >= 2048` simulations practical.
+///   degrades badly when thousands of threads contend for a few cores. It
+///   is the reference every cross-backend test compares against.
 /// * [`Vector`](Backend::Vector) drives [`StepProtocol`] state machines
-///   from a single thread in struct-of-arrays form: per-processor
-///   write/read intents live in flat columns, each cycle is tight loops
-///   over the *active* processors (no barriers, no per-unit dispatch), and
-///   [`Step::IdleFor`] sleepers are parked in a wake-time heap and skipped
-///   entirely. This is the backend for `p >= 10^5`. Closure protocols need
-///   a suspended call stack per processor, which a columnar driver cannot
-///   provide, so [`Network::run`] under `Vector` delegates to the pooled
-///   fiber driver (identical observable behavior); only
-///   [`Network::run_steps`] takes the columnar path.
+///   (see [`Network::run_steps`]) from a single thread in struct-of-arrays
+///   form: per-processor write/read intents live in flat columns, each
+///   cycle is tight loops over the *active* processors (no barriers, no
+///   per-unit dispatch), and [`Step::IdleFor`] sleepers are parked in a
+///   wake-time heap and skipped entirely. This is the backend for large
+///   `p`, up to `p >= 10^5`. Closure protocols need a suspended call stack
+///   per processor, which a columnar driver cannot provide, so
+///   [`Network::run`] under `Vector` parks each processor on a fiber
+///   thread advanced by `min(p, cores)` workers (identical observable
+///   behavior, barrier width the worker count rather than `p`).
 ///
-/// All three backends agree byte-for-byte on every observable:
+/// Both backends agree byte-for-byte on every observable:
 ///
 /// ```
 /// use mcb_net::{Backend, ChanId, Network, Step, StepEnv, StepProtocol};
@@ -109,52 +104,59 @@ pub const DEFAULT_STALL_WINDOW: u64 = 1_000_000;
 ///     Network::new(64, 8).backend(backend).run_steps(|_| Echo).unwrap()
 /// };
 /// let threaded = run(Backend::Threaded);
-/// let pooled = run(Backend::Pooled);
 /// let vector = run(Backend::Vector);
-/// assert_eq!(threaded.results, pooled.results);
 /// assert_eq!(threaded.results, vector.results);
-/// assert_eq!(threaded.metrics, pooled.metrics);
 /// assert_eq!(threaded.metrics, vector.metrics);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Pick automatically from `p`: [`Pooled`](Backend::Pooled) when `p`
+    /// Pick automatically from `p`: [`Vector`](Backend::Vector) when `p`
     /// far exceeds the core count (`p > max(32, 2 * cores)`), otherwise
     /// [`Threaded`](Backend::Threaded). The `MCB_BACKEND` environment
-    /// variable (`"threaded"` / `"pooled"` / `"vector"`) overrides the
-    /// heuristic.
+    /// variable (`"threaded"` / `"vector"`, any case) overrides the
+    /// heuristic; any other value fails the run with
+    /// [`NetError::BadConfig`] (see [`Backend::from_env_value`]).
     #[default]
     Auto,
     /// One OS thread per logical processor.
     Threaded,
-    /// `min(p, cores)` workers drive all logical processors.
-    Pooled,
-    /// Single-threaded struct-of-arrays driver for [`StepProtocol`]s
-    /// (closure protocols fall back to the pooled fiber driver).
+    /// Single-threaded struct-of-arrays driver for [`StepProtocol`]s;
+    /// closure protocols run on fibers advanced by `min(p, cores)` workers.
     Vector,
 }
 
 impl Backend {
-    /// Resolve `Auto` to a concrete backend for a `p`-processor run.
-    pub fn resolve(self, p: usize) -> Backend {
+    /// Parse an `MCB_BACKEND` value: `threaded` or `vector`, in any case.
+    /// Anything else is a [`NetError::BadConfig`] naming the accepted
+    /// values, so a stale or misspelt override fails loudly instead of
+    /// quietly running the heuristic.
+    pub fn from_env_value(value: &str) -> Result<Backend, NetError> {
+        match value.to_ascii_lowercase().as_str() {
+            "threaded" => Ok(Backend::Threaded),
+            "vector" => Ok(Backend::Vector),
+            _ => Err(NetError::BadConfig(format!(
+                "MCB_BACKEND={value:?} is not a backend (expected threaded|vector)"
+            ))),
+        }
+    }
+
+    /// Resolve `Auto` to a concrete backend for a `p`-processor run. Fails
+    /// only when `MCB_BACKEND` is set to a value
+    /// [`from_env_value`](Self::from_env_value) rejects.
+    pub fn resolve(self, p: usize) -> Result<Backend, NetError> {
         match self {
-            Backend::Auto => {
-                if let Ok(var) = std::env::var("MCB_BACKEND") {
-                    match var.to_ascii_lowercase().as_str() {
-                        "threaded" => return Backend::Threaded,
-                        "pooled" => return Backend::Pooled,
-                        "vector" => return Backend::Vector,
-                        _ => {}
-                    }
+            Backend::Auto => match std::env::var_os("MCB_BACKEND") {
+                Some(var) => Backend::from_env_value(&var.to_string_lossy()),
+                None => {
+                    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+                    Ok(if p > (2 * cores).max(32) {
+                        Backend::Vector
+                    } else {
+                        Backend::Threaded
+                    })
                 }
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                if p > (2 * cores).max(32) {
-                    Backend::Pooled
-                } else {
-                    Backend::Threaded
-                }
-            }
-            concrete => concrete,
+            },
+            concrete => Ok(concrete),
         }
     }
 }
@@ -299,7 +301,7 @@ impl Network {
         self
     }
 
-    /// The attached monitor core, for the pooled driver's fiber contexts.
+    /// The attached monitor core, for the fiber driver's contexts.
     pub(crate) fn monitor_core(&self) -> Option<Arc<MonitorCore>> {
         self.monitor.clone()
     }
@@ -365,13 +367,13 @@ impl Network {
         F: Fn(&mut ProcCtx<'_, M>) -> R + Sync,
     {
         self.validate()?;
-        match self.backend.resolve(self.procs) {
+        match self.backend.resolve(self.procs)? {
             // A closure protocol blocks inside `cycle`, which needs a
             // suspended call stack per processor; the columnar driver has
-            // none to offer, so `Vector` delegates closures to the pooled
-            // fiber driver (identical observable behavior — only
-            // `run_steps` takes the columnar path).
-            Backend::Pooled | Backend::Vector => crate::pooled::run_closures(self, &protocol),
+            // none to offer, so `Vector` runs closures on the fiber driver
+            // (identical observable behavior — only `run_steps` takes the
+            // columnar path).
+            Backend::Vector => crate::fiber::run_closures(self, &protocol),
             _ => self.run_threaded(&protocol),
         }
     }
@@ -383,8 +385,8 @@ impl Network {
     /// contract). Equivalent to [`run`](Self::run) with a closure that loops
     /// over [`StepProtocol::step`] — and exactly that is how it executes on
     /// the [`Threaded`](Backend::Threaded) backend — but on the
-    /// [`Pooled`](Backend::Pooled) backend state machines are advanced
-    /// directly by the worker pool with **no** per-processor threads, which
+    /// [`Vector`](Backend::Vector) backend state machines are advanced in
+    /// flat columns by one thread with **no** per-processor threads, which
     /// is the cheapest way to simulate very large `p`.
     pub fn run_steps<M, S, F>(&self, factory: F) -> Result<RunReport<S::Output, M>, NetError>
     where
@@ -394,8 +396,7 @@ impl Network {
         F: Fn(ProcId) -> S + Sync,
     {
         self.validate()?;
-        match self.backend.resolve(self.procs) {
-            Backend::Pooled => crate::pooled::run_steps(self, &factory),
+        match self.backend.resolve(self.procs)? {
             Backend::Vector => crate::vector::run_steps(self, &factory),
             _ => self.run_threaded(&|ctx: &mut ProcCtx<'_, M>| {
                 let mut machine = factory(ctx.id());
@@ -404,7 +405,7 @@ impl Network {
                     let env = ctx.step_env();
                     let step = machine.step(&env, input.take());
                     // A phase requested during `step` labels the yielded
-                    // cycle (same ordering as the pooled driver).
+                    // cycle (same ordering as the vector driver).
                     if let Some(name) = env.take_phase() {
                         ctx.phase(&name);
                     }
@@ -719,7 +720,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`apply_read`](Shared::apply_read), [`sweep`](Shared::sweep)); backends
 /// only differ in who calls them and how the calls are synchronized
 /// (`barrier` spans all `p` processor threads on the threaded backend, but
-/// only the workers on the pooled one).
+/// only the fiber driver's workers under `Vector`; the columnar step driver
+/// never waits on it).
 /// One channel's per-cycle state: the deposited message (if any) plus a
 /// *jam* flag set when a framed `Corrupt` fault garbled the slot's
 /// transmission. Unframed reads ignore the flag entirely, so non-framed
@@ -794,7 +796,7 @@ pub(crate) struct ProfAgg {
     pub(crate) cycle: LogHistogram,
     /// One sample per barrier wait, across all executors.
     pub(crate) barrier: LogHistogram,
-    /// One sample per pooled bring-up/resume/collect block.
+    /// One sample per fiber-driver bring-up/resume/collect block.
     pub(crate) stall: LogHistogram,
     /// One sample per vector-driver collect sweep.
     pub(crate) dispatch: LogHistogram,
@@ -825,7 +827,7 @@ impl ProfAgg {
 
 impl<M: Clone + Send + Sync> Shared<M> {
     /// Shared state for one run; `participants` is the barrier width (`p`
-    /// for the threaded backend, the worker count for the pooled one).
+    /// for the threaded backend, the worker count for the fiber driver).
     pub(crate) fn new(net: &Network, participants: usize) -> Self {
         Shared {
             k: net.channels,
@@ -1125,7 +1127,7 @@ pub struct ProcCtx<'a, M> {
     /// [`PhaseScope`] guard can restore it in both execution modes.
     phase_name: String,
     /// This processor's private trace buffer (threaded backend only; the
-    /// pooled backend buffers per worker slot instead).
+    /// fiber driver buffers per worker slot instead).
     events: Vec<Event<M>>,
     /// Per-wait barrier samples (threaded backend, profiling on), merged
     /// into the run's aggregate at thread end.
@@ -1138,10 +1140,10 @@ enum CtxInner<'a, M> {
     /// Threaded backend: this context owns an OS thread that participates
     /// directly in the run's barrier and applies its own writes/reads.
     Lockstep { shared: &'a Shared<M>, sense: Sense },
-    /// Pooled backend: this context lives on a parked helper thread; each
-    /// `cycle` is a rendezvous with a pool worker, which applies the
-    /// write/read on the context's behalf and sends back the read result
-    /// plus refreshed clocks.
+    /// Fiber driver (closures under `Vector`): this context lives on a
+    /// parked helper thread; each `cycle` is a rendezvous with a driver
+    /// worker, which applies the write/read on the context's behalf and
+    /// sends back the read result plus refreshed clocks.
     Fiber {
         p: usize,
         k: usize,
@@ -1153,18 +1155,18 @@ enum CtxInner<'a, M> {
         /// The run's live-monitor core, mirrored here so the epoch layer
         /// can post reconfiguration events without a worker round-trip.
         monitor: Option<Arc<MonitorCore>>,
-        port: crate::pooled::FiberPort<M>,
+        port: crate::fiber::FiberPort<M>,
     },
 }
 
 impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
-    /// A fiber-mode context for the pooled backend (see [`CtxInner::Fiber`]).
+    /// A fiber-mode context for the fiber driver (see [`CtxInner::Fiber`]).
     pub(crate) fn fiber(
         id: ProcId,
         p: usize,
         k: usize,
         monitor: Option<Arc<MonitorCore>>,
-        port: crate::pooled::FiberPort<M>,
+        port: crate::fiber::FiberPort<M>,
     ) -> Self {
         ProcCtx {
             id,
@@ -1315,7 +1317,7 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
                 ..
             } => match port.rendezvous(pending_phase.take(), write, read) {
                 Some(resume) => {
-                    // The worker applied our write/read under the pool's
+                    // The worker applied our write/read under the driver's
                     // round structure; adopt its authoritative clocks (the
                     // full per-phase tallies stay on the worker's side —
                     // only the scalars matter to the protocol).
@@ -1660,5 +1662,28 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.into_results(), b.into_results());
+    }
+
+    #[test]
+    fn mcb_backend_values_parse_or_fail_loudly() {
+        // Tested on the pure parser: setting the variable here would race
+        // every other test in the binary.
+        for (value, want) in [
+            ("threaded", Backend::Threaded),
+            ("Threaded", Backend::Threaded),
+            ("vector", Backend::Vector),
+            ("VECTOR", Backend::Vector),
+        ] {
+            assert_eq!(Backend::from_env_value(value), Ok(want), "{value}");
+        }
+        for value in ["pooled", "auto", "", " vector", "thread"] {
+            match Backend::from_env_value(value) {
+                Err(NetError::BadConfig(msg)) => {
+                    assert!(msg.contains("threaded|vector"), "{value}: {msg}");
+                    assert!(msg.contains(&format!("{value:?}")), "{value}: {msg}");
+                }
+                other => panic!("{value:?} must be rejected, got {other:?}"),
+            }
+        }
     }
 }

@@ -187,7 +187,6 @@ fn backend_str(b: Backend) -> &'static str {
     match b {
         Backend::Auto => "auto",
         Backend::Threaded => "threaded",
-        Backend::Pooled => "pooled",
         Backend::Vector => "vector",
     }
 }

@@ -15,16 +15,16 @@
 //! * complexity is the total number of **cycles** and **messages**, with
 //!   messages limited to O(log β) bits (audited via [`MsgWidth`]).
 //!
-//! Three interchangeable execution backends implement the model (selected
+//! Two interchangeable execution backends implement the model (selected
 //! via [`Backend`]): the **threaded** engine runs each processor's protocol
-//! as a real OS thread in lock-step behind a sense-reversing barrier; the
-//! **pooled** engine batches all `p` logical processors across
-//! `min(p, cores)` workers — the practical choice for `p` in the thousands;
-//! and the **vector** engine drives [`StepProtocol`] state machines from a
-//! single thread in struct-of-arrays form, skipping idle processors
-//! entirely — the choice for `p` in the hundreds of thousands. Whichever
-//! runs, all observable quantities are deterministic for collision-free
-//! protocols and identical across backends.
+//! as a real OS thread in lock-step behind a sense-reversing barrier — the
+//! reference, and the fastest while `p` is near the core count; the
+//! **vector** engine drives [`StepProtocol`] state machines from a single
+//! thread in struct-of-arrays form, skipping idle processors entirely —
+//! the choice for `p` from the thousands to the hundreds of thousands —
+//! and runs closure protocols on fibers advanced by `min(p, cores)`
+//! workers. Whichever runs, all observable quantities are deterministic
+//! for collision-free protocols and identical across backends.
 //!
 //! ## Quick example
 //!
@@ -57,7 +57,7 @@
 //!
 //! * [`engine`] — the executor ([`Network`], [`ProcCtx`], [`Backend`]).
 //! * [`step`] — protocols as resumable state machines ([`StepProtocol`],
-//!   run thread-free at scale by the pooled and vector backends).
+//!   run thread-free at scale by the vector backend).
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]): channel
 //!   deaths, transient losses, crashes and stalls, byte-identical across
 //!   backends.
@@ -87,13 +87,13 @@ pub mod epoch;
 pub mod error;
 pub mod export;
 pub mod fault;
+mod fiber;
 pub mod frame;
 pub mod ids;
 pub mod message;
 pub mod metrics;
 pub mod monitor;
 pub mod phase;
-mod pooled;
 pub mod step;
 mod sync;
 pub mod timeline;

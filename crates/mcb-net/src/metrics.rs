@@ -311,9 +311,9 @@ pub struct EngineProfile {
     /// The resolved backend that executed the run.
     pub backend: crate::Backend,
     /// Executor parallelism: `p` on the threaded backend (one OS thread per
-    /// processor, all in the barrier), the worker count on the pooled one,
-    /// and always `1` on the vector backend (a single struct-of-arrays
-    /// driver thread, no barrier at all).
+    /// processor, all in the barrier); on the vector backend, the fiber
+    /// driver's worker count for a closure run and always `1` for a step
+    /// run (a single struct-of-arrays driver thread, no barrier at all).
     pub workers: usize,
     /// Wall-clock duration of the whole run, in nanoseconds.
     pub wall_ns: u64,
@@ -322,10 +322,10 @@ pub struct EngineProfile {
     /// [`barrier_wait`](Self::barrier_wait)`.sum()`; always 0 on the vector
     /// backend, whose single driver thread never waits on a barrier.
     pub barrier_wait_ns: u64,
-    /// Time spent waiting for protocol compute, in nanoseconds: on the
-    /// pooled backend the workers' fiber-rendezvous/state-machine-step
-    /// waits summed across workers, on the vector backend the driver's
-    /// per-cycle machine-dispatch (collect) time. Equals
+    /// Time spent waiting for protocol compute, in nanoseconds: for a
+    /// closure run on the vector backend the fiber driver's rendezvous
+    /// waits summed across workers, for a step run the driver's per-cycle
+    /// machine-dispatch (collect) time. Equals
     /// [`stall`](Self::stall)`.sum() + `[`dispatch`](Self::dispatch)`.sum()`;
     /// always 0 on the threaded backend, where protocol compute runs on
     /// the processor's own thread.
@@ -334,13 +334,14 @@ pub struct EngineProfile {
     /// consecutive engine rounds, sampled by the sweeper), all backends.
     pub cycle_latency: LogHistogram,
     /// Distribution of individual barrier-wait times, one sample per wait
-    /// per executor (threaded and pooled backends; empty on vector).
+    /// per executor (threaded backend and fiber-driven closure runs; empty
+    /// for vector step runs).
     pub barrier_wait: LogHistogram,
     /// Distribution of per-round protocol-compute stalls, one sample per
-    /// worker per round (pooled backend only; empty elsewhere).
+    /// worker per round (fiber-driven closure runs only; empty elsewhere).
     pub stall: LogHistogram,
     /// Distribution of per-cycle machine-dispatch times in the columnar
-    /// collect loop (vector backend only; empty elsewhere).
+    /// collect loop (vector step runs only; empty elsewhere).
     pub dispatch: LogHistogram,
 }
 

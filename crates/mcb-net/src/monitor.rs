@@ -4,9 +4,9 @@
 //! Everything else in the observability stack ([`Metrics`], phase tables,
 //! traces, JSONL) materializes only after `run()` returns. A [`RunMonitor`]
 //! is the streaming counterpart: attach one to a [`Network`](crate::Network)
-//! via [`Network::monitor`](crate::Network::monitor) and every backend —
-//! threaded, pooled, vector — publishes into it at cycle, phase, fault, and
-//! epoch boundaries. Any thread can call [`RunMonitor::snapshot`] at any
+//! via [`Network::monitor`](crate::Network::monitor) and every executor —
+//! threaded, vector steps, vector closures on fibers — publishes into it
+//! at cycle, phase, fault, and epoch boundaries. Any thread can call [`RunMonitor::snapshot`] at any
 //! time and get a coherent [`MonitorSnapshot`] of the run so far:
 //!
 //! * the current **cycle**, total **messages**/**bits**, and the count of
@@ -314,8 +314,8 @@ impl MonitorCore {
         self.cycle.store(completed, Ordering::Release);
     }
 
-    /// Per-message publish from the write path (threaded/pooled
-    /// `apply_write` and the vector driver's inlined write loop).
+    /// Per-message publish from the write path (the threaded and fiber
+    /// drivers' `apply_write` and the vector driver's inlined write loop).
     #[inline]
     pub(crate) fn on_message(&self, phase: u16, bits: u32, now: u64) {
         self.total_bits

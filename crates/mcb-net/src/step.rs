@@ -7,9 +7,9 @@
 //! protocol inside-out: the engine calls [`step`](StepProtocol::step) with
 //! the previous cycle's read result, and the protocol returns what it wants
 //! to do in the next cycle (a [`Step`]). All suspended state lives in the
-//! implementing struct, so thousands of logical processors can be advanced
-//! by a handful of worker threads — this is what makes the pooled backend
-//! (see [`Backend`](crate::Backend)) cheap at large `p`.
+//! implementing struct, so hundreds of thousands of logical processors can
+//! be advanced by one thread sweeping flat columns — this is what makes the
+//! vector backend (see [`Backend`](crate::Backend)) cheap at large `p`.
 //!
 //! The two forms are interchangeable: [`Network::run_steps`] executes a
 //! `StepProtocol` on **either** backend with identical observable behavior

@@ -1,13 +1,11 @@
-//! The vector (struct-of-arrays) execution backend.
+//! The vector (struct-of-arrays) execution backend for step machines.
 //!
-//! The pooled backend already removes per-processor threads for
-//! [`StepProtocol`] machines, but it still pays per-unit dispatch — a
-//! `UnitSlot` walk, a `Request`/`Resume` exchange, and a worker barrier —
-//! for every processor in every cycle, including the processors that do
-//! nothing. This backend removes those costs too: it runs on **one**
-//! thread, keeps all per-processor state in flat columns (machine, write
-//! intent, read intent, read result, metrics, status), and executes each
-//! cycle as tight loops over the *active* processors only:
+//! The threaded backend pays an OS thread and three barrier crossings per
+//! processor per cycle. This driver pays neither, and no per-unit dispatch
+//! either: it runs on **one** thread, keeps all per-processor state in
+//! flat columns (machine, write intent, read intent, read result, metrics,
+//! status), and executes each cycle as tight loops over the *active*
+//! processors only:
 //!
 //! 1. **write phase** — for each active processor: planned-crash check,
 //!    then deposit its write intent into the channel columns (same
@@ -32,11 +30,11 @@
 //! Only [`StepProtocol`] machines can be vectorized — a closure protocol
 //! blocks inside [`ProcCtx::cycle`](crate::ProcCtx::cycle) and needs a
 //! suspended call stack per processor, which a columnar driver cannot
-//! provide — so [`Network::run`] under [`Backend::Vector`] delegates to the
-//! pooled fiber driver and only [`Network::run_steps`] lands here.
+//! provide — so [`Network::run`] under [`Backend::Vector`] goes to the
+//! fiber driver (`fiber.rs`) and only [`Network::run_steps`] lands here.
 //!
-//! Equivalence with the other backends is structural: the round loop
-//! mirrors the pooled driver's phase order exactly, the write/read loops
+//! Equivalence with the threaded backend is structural: the round loop
+//! mirrors its write/read/sweep phase order exactly, the write/read loops
 //! inline `apply_write`/`apply_read` over the columns rule for rule, and
 //! everything downstream (fault canonicalization, phase re-keying, trace
 //! ordering, the JSONL export) goes through the same
@@ -113,9 +111,9 @@ where
     }
 
     /// Advance machine `i` by one `step` call at round `now` and absorb
-    /// what it wants next into the columns. Mirrors the pooled driver's
-    /// `StepUnit::collect` + `absorb`, plus the [`Step::IdleFor`] parking
-    /// that only this backend implements natively.
+    /// what it wants next into the columns. Mirrors the threaded
+    /// `run_steps` loop's handling of each [`Step`], plus the
+    /// [`Step::IdleFor`] parking that only this backend implements natively.
     fn collect_one(&mut self, shared: &Shared<M>, i: usize, now: u64) {
         let id = ProcId::from_index(i);
         let env = StepEnv::new(
@@ -223,12 +221,12 @@ where
     let mut dirty: Vec<usize> = Vec::new();
     let mut events: Vec<Event<M>> = Vec::new();
     // Wall-clock histogram for protocol compute (one sample per collect
-    // sweep) — the single-threaded analogue of the pooled driver's `stall`,
+    // sweep) — the single-threaded analogue of the fiber driver's `stall`,
     // surfaced as [`EngineProfile::dispatch`](crate::EngineProfile).
     let mut dispatch = LogHistogram::new();
 
-    // Bring every machine to its first request (or completion): the same
-    // initial collect at round 0 the pooled driver performs.
+    // Bring every machine to its first request (or completion) at round 0,
+    // before any write: the threaded loop's first `step` call.
     let t0 = shared.profile.then(Instant::now);
     for i in 0..p {
         cols.collect_one(&shared, i, 0);

@@ -64,8 +64,9 @@ pub struct ServeConfig {
     pub backoff_cap_ms: u64,
     /// Channels per batch instance.
     pub k: usize,
-    /// Execution backend for batch runs ([`Backend::Vector`] by default —
-    /// the struct-of-arrays engine sized for wide batches).
+    /// Execution backend for batch runs ([`Backend::Vector`] by default:
+    /// a healed batch is a closure protocol, so it runs on that backend's
+    /// fiber driver, `min(p, cores)` workers for the whole batch).
     pub backend: Backend,
     /// Livelock watchdog for batch runs (cycles; see
     /// [`SelfHealing::stall_window`]).

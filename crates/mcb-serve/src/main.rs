@@ -34,7 +34,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: mcb-serve [--listen ADDR] [--journal PATH] [--k N] [--queue-depth N] \
-         [--batch-max N] [--max-attempts N] [--backend threaded|pooled|vector] \
+         [--batch-max N] [--max-attempts N] [--backend auto|threaded|vector] \
          [--chaos-seed S] [--chaos-horizon N] [--chaos-deaths N] [--chaos-crashes N] \
          [--chaos-drops N] [--chaos-bursts N] [--test-delay-ms N] [--fsync] [--self-test] \
          [--recover-only]"
@@ -87,7 +87,6 @@ fn parse_args() -> Args {
             "--backend" => {
                 args.cfg.backend = match value(&mut i).as_str() {
                     "threaded" => Backend::Threaded,
-                    "pooled" => Backend::Pooled,
                     "vector" => Backend::Vector,
                     "auto" => Backend::Auto,
                     _ => usage(),

@@ -35,7 +35,7 @@ fn main() {
     println!();
 
     let mut healed = Vec::new();
-    for backend in [Backend::Threaded, Backend::Pooled] {
+    for backend in [Backend::Threaded, Backend::Vector] {
         let out = SelfHealing::new(plan.clone())
             .backend(backend)
             .record_trace(true)
@@ -46,12 +46,12 @@ fn main() {
             });
         healed.push(out);
     }
-    let (threaded, pooled) = (&healed[0], &healed[1]);
-    if threaded.columns != pooled.columns
-        || threaded.metrics != pooled.metrics
-        || threaded.epochs != pooled.epochs
+    let (threaded, vector) = (&healed[0], &healed[1]);
+    if threaded.columns != vector.columns
+        || threaded.metrics != vector.metrics
+        || threaded.epochs != vector.epochs
     {
-        eprintln!("FAIL: threaded and pooled healed runs diverge");
+        eprintln!("FAIL: threaded and vector healed runs diverge");
         std::process::exit(1);
     }
 

@@ -17,7 +17,7 @@
 //! symbolic counterexample merely confirms it. Exits non-zero if any
 //! pass misses its bug.
 //!
-//! Works identically on either backend (try `MCB_BACKEND=pooled`).
+//! Works identically on either backend (try `MCB_BACKEND=vector`).
 
 use mcb::algos::networks::{network_sort_in, NetworkKind, NetworkSpec};
 use mcb::check::{verify, verify_network, Bounds, NetViolation, ScheduleBuilder};
@@ -47,7 +47,7 @@ fn main() {
     println!("verdict source: structural pass (schedule walk, no keys, no engine)\n");
 
     // Now let the engine hit the same wall at runtime.
-    for backend in [Backend::Threaded, Backend::Pooled] {
+    for backend in [Backend::Threaded, Backend::Vector] {
         let err = Network::new(4, 2)
             .backend(backend)
             .run(|ctx| {

@@ -16,8 +16,9 @@
 //! The export is re-parsed and cross-checked against the run report
 //! before the example exits.
 //!
-//! The backend follows `MCB_BACKEND=threaded|pooled|vector` (default
-//! `vector` — the monitor's home turf is big single-threaded runs).
+//! The backend follows `MCB_BACKEND=threaded|vector` (default `vector` —
+//! the monitor's home turf is big single-threaded runs); any other value
+//! exits non-zero, as the engine's `Backend::Auto` would reject it.
 //! `--ci` shrinks the shapes, skips the interactive redraw, and exits
 //! non-zero unless the exported trace parses and accounts for every
 //! phase span, fault instant, and epoch instant in the report.
@@ -41,12 +42,19 @@ use mcb::workloads::{distinct_keys, rng};
 const SPARK: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
 /// The CI matrix steers the example through the same env var the engine's
-/// `Backend::Auto` consults; unset means the vector backend.
+/// `Backend::Auto` consults, parsed by the same function; unset means the
+/// vector backend.
 fn backend_leg() -> (Backend, &'static str) {
-    match std::env::var("MCB_BACKEND").ok().as_deref() {
-        Some("threaded") => (Backend::Threaded, "threaded"),
-        Some("pooled") => (Backend::Pooled, "pooled"),
-        _ => (Backend::Vector, "vector"),
+    let backend = match std::env::var_os("MCB_BACKEND") {
+        None => Backend::Vector,
+        Some(v) => Backend::from_env_value(&v.to_string_lossy()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }),
+    };
+    match backend {
+        Backend::Threaded => (backend, "threaded"),
+        _ => (backend, "vector"),
     }
 }
 

@@ -2,7 +2,7 @@
 //! algorithms with phase tracing on, render an ASCII cycle × channel
 //! timeline for each (phase spans above a per-channel heat map), and prove
 //! the structured export is byte-identical across execution backends by
-//! diffing the JSONL of a threaded and a pooled run.
+//! diffing the JSONL of a threaded and a vector run.
 //!
 //! Exits non-zero if the two backends' exports ever differ.
 //!
@@ -60,7 +60,7 @@ fn selection_run(backend: Backend) -> RunReport<(u64, Vec<PhaseStats>), Word<Med
 
 /// Render one algorithm's timeline and check backend equivalence of the
 /// export. Returns `false` on a mismatch.
-fn show<R, M>(name: &str, threaded: &RunReport<R, M>, pooled: &RunReport<R, M>) -> bool
+fn show<R, M>(name: &str, threaded: &RunReport<R, M>, vector: &RunReport<R, M>) -> bool
 where
     M: std::fmt::Debug,
 {
@@ -74,10 +74,10 @@ where
             ph.name, ph.cycles, ph.messages, ph.first_cycle, ph.last_cycle
         );
     }
-    let (a, b) = (threaded.to_jsonl(), pooled.to_jsonl());
+    let (a, b) = (threaded.to_jsonl(), vector.to_jsonl());
     let ok = a == b;
     println!(
-        "jsonl: {} lines, threaded == pooled: {}\n",
+        "jsonl: {} lines, threaded == vector: {}\n",
         a.lines().count(),
         if ok { "yes" } else { "NO — MISMATCH" }
     );
@@ -89,12 +89,12 @@ fn main() {
     ok &= show(
         "Columnsort (p=64, k=8, 512 keys)",
         &columnsort_run(Backend::Threaded),
-        &columnsort_run(Backend::Pooled),
+        &columnsort_run(Backend::Vector),
     );
     ok &= show(
         "Selection of the median (p=16, k=4, n=512)",
         &selection_run(Backend::Threaded),
-        &selection_run(Backend::Pooled),
+        &selection_run(Backend::Vector),
     );
     if !ok {
         eprintln!("backend exports differ — determinism broken");

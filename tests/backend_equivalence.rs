@@ -1,14 +1,15 @@
-//! Cross-backend equivalence: the threaded, pooled, and vector engines
+//! Cross-backend equivalence: the threaded and vector engines
 //! must be observationally identical. For collision-free protocols that
 //! means byte-identical results, [`Metrics`], and [`Trace`]; for failing
 //! protocols it means identical error *classification* (variant, channel,
 //! cycle — the colliding-writer pair is scheduling-dependent on the
 //! threaded backend, so it is deliberately excluded).
 //!
-//! Closure protocols on [`Backend::Vector`] delegate to the pooled fiber
-//! driver, so the closure tests pin that delegation while the
-//! [`StepProtocol`] tests exercise the struct-of-arrays driver itself —
-//! including its inlined fault handling and [`Step::IdleFor`] bulk idling.
+//! Closure protocols on [`Backend::Vector`] run on its fiber driver, so the
+//! closure tests pin that route while the [`StepProtocol`] tests exercise
+//! the struct-of-arrays driver itself — including its inlined fault
+//! handling and [`Step::IdleFor`] bulk idling. `BACKENDS[0]` (threaded) is
+//! the reference every other backend is compared against.
 
 use mcb::net::{
     Backend, ChanId, Metrics, NetError, Network, ProcId, RunReport, Step, StepEnv, StepProtocol,
@@ -16,7 +17,7 @@ use mcb::net::{
 };
 use mcb_rng::Rng64;
 
-const BACKENDS: [Backend; 3] = [Backend::Threaded, Backend::Pooled, Backend::Vector];
+const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Vector];
 
 /// A seeded, collision-free, straggler-heavy protocol schedule.
 ///
@@ -109,7 +110,7 @@ fn random_collision_free_protocols_agree() {
         let rounds = rng.random_range(3usize..30);
         let sched = Schedule::generate(rng.next_u64(), p, k, rounds);
         let baseline = sched.run(Backend::Threaded);
-        for backend in [Backend::Pooled, Backend::Vector] {
+        for &backend in &BACKENDS[1..] {
             let other = sched.run(backend);
             assert_reports_identical(
                 &baseline,
@@ -271,7 +272,7 @@ fn run_steps_agrees_across_backends() {
             .unwrap()
     };
     let threaded = run(Backend::Threaded);
-    for backend in [Backend::Pooled, Backend::Vector] {
+    for &backend in &BACKENDS[1..] {
         let other = run(backend);
         assert_eq!(threaded.results, other.results, "{backend:?}");
         assert_eq!(threaded.metrics, other.metrics, "{backend:?}");
@@ -352,7 +353,7 @@ fn faulted_step_runs_agree_across_backends() {
             .unwrap()
     };
     let threaded = run(Backend::Threaded);
-    for backend in [Backend::Pooled, Backend::Vector] {
+    for &backend in &BACKENDS[1..] {
         let other = run(backend);
         assert_eq!(threaded.results, other.results, "{backend:?}");
         assert_eq!(threaded.metrics, other.metrics, "{backend:?}");
@@ -471,7 +472,7 @@ fn metrics_details_agree_for_stragglers() {
             .unwrap()
     };
     let threaded = run(Backend::Threaded);
-    for backend in [Backend::Pooled, Backend::Vector] {
+    for &backend in &BACKENDS[1..] {
         let other = run(backend);
         assert_eq!(threaded.results, other.results, "{backend:?}");
         assert_eq!(threaded.metrics, other.metrics, "{backend:?}");
@@ -510,15 +511,10 @@ fn faulted_runs_replay_byte_identically_across_backends() {
             .unwrap()
     };
     let threaded = run(Backend::Threaded);
-    let pooled = run(Backend::Pooled);
     let vector = run(Backend::Vector);
     let replay = run(Backend::Threaded);
 
-    for (label, other) in [
-        ("pooled", &pooled),
-        ("vector", &vector),
-        ("threaded replay", &replay),
-    ] {
+    for (label, other) in [("vector", &vector), ("threaded replay", &replay)] {
         assert_eq!(threaded.columns, other.columns, "{label}: outputs differ");
         assert_eq!(threaded.metrics, other.metrics, "{label}: metrics differ");
         assert_eq!(
@@ -580,7 +576,7 @@ fn fault_jsonl_export_is_byte_identical_across_backends() {
     };
     let threaded = run(Backend::Threaded);
     let ja = threaded.to_jsonl();
-    for backend in [Backend::Pooled, Backend::Vector] {
+    for &backend in &BACKENDS[1..] {
         let jb = run(backend).to_jsonl();
         assert_eq!(ja, jb, "{backend:?}: JSONL exports differ");
     }
@@ -593,7 +589,7 @@ fn fault_jsonl_export_is_byte_identical_across_backends() {
 fn monitored_runs_agree_across_backends() {
     // The *final* monitor snapshot is part of the deterministic surface:
     // counters, phase rows, and the utilization ring must be identical on
-    // all three backends (and in the JSONL byte diff). Only the event log
+    // both backends (and in the JSONL byte diff). Only the event log
     // is scheduling-order and excluded from the comparison.
     use mcb::net::{FaultPlan, MonitorOpts, RunMonitor};
 
@@ -636,7 +632,7 @@ fn monitored_runs_agree_across_backends() {
         "faults must reach the monitor"
     );
     base_snap.events.clear();
-    for backend in [Backend::Pooled, Backend::Vector] {
+    for &backend in &BACKENDS[1..] {
         let (mut snap, jsonl) = run(backend);
         snap.events.clear();
         assert_eq!(base_snap, snap, "{backend:?}: final snapshots differ");
@@ -653,13 +649,21 @@ fn monitored_runs_agree_across_backends() {
 #[test]
 fn backend_resolution() {
     // Concrete choices pass through untouched.
-    assert_eq!(Backend::Threaded.resolve(1 << 20), Backend::Threaded);
-    assert_eq!(Backend::Pooled.resolve(1), Backend::Pooled);
-    assert_eq!(Backend::Vector.resolve(1 << 20), Backend::Vector);
-    // Auto resolves to something concrete.
-    let auto = Backend::Auto.resolve(64);
-    assert!(matches!(
-        auto,
-        Backend::Threaded | Backend::Pooled | Backend::Vector
-    ));
+    assert_eq!(Backend::Threaded.resolve(1 << 20), Ok(Backend::Threaded));
+    assert_eq!(Backend::Vector.resolve(1), Ok(Backend::Vector));
+    // Auto: threaded up to max(32, 2 * cores) processors, vector above —
+    // unless MCB_BACKEND forces one (CI runs this suite forced, too).
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cut = (2 * cores).max(32);
+    let forced =
+        std::env::var_os("MCB_BACKEND").map(|v| Backend::from_env_value(&v.to_string_lossy()));
+    for (p, heuristic) in [
+        (1, Backend::Threaded),
+        (cut, Backend::Threaded),
+        (cut + 1, Backend::Vector),
+        (1 << 20, Backend::Vector),
+    ] {
+        let want = forced.clone().unwrap_or(Ok(heuristic));
+        assert_eq!(Backend::Auto.resolve(p), want, "p = {p}");
+    }
 }

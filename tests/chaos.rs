@@ -1,6 +1,6 @@
 //! Chaos property tests: the paper's algorithms must survive *any* seeded
 //! random fault plan that leaves at least one channel alive (the §2
-//! simulation lemma's precondition), on all three backends, with the
+//! simulation lemma's precondition), on both backends, with the
 //! output equal to the fault-free answer, the physical cycle count inside
 //! the healing cost contract, and the runs backend-identical down to the
 //! epoch log.
@@ -18,7 +18,7 @@ use mcb::algos::heal::{HealedSort, SelfHealing};
 use mcb::net::{Backend, ChaosOpts, FaultPlan};
 use mcb_rng::Rng64;
 
-const BACKENDS: [Backend; 3] = [Backend::Threaded, Backend::Pooled, Backend::Vector];
+const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Vector];
 
 /// The default fault mix with stalls removed.
 fn no_stalls() -> ChaosOpts {
@@ -159,7 +159,7 @@ fn correlated_bursts_are_survived_on_all_backends() {
     // windows: whole runs of adjacent cycles are spoiled at once, the
     // hardest transient shape short of losing the channel. The output
     // must still match the fault-free answer, within the healing bound,
-    // on all three backends.
+    // on both backends.
     let (m, k) = (12usize, 4usize);
     let opts = ChaosOpts::bursty(64);
     let mut rng = Rng64::seed_from_u64(0xb5257);

@@ -40,7 +40,7 @@ fn emitted_columnsort_schedules_degrade_verifiably() {
             outages = outages.kill(k - 1, 2 * l / 3);
         }
         let r = verify_degraded(&schedule, &outages, &Bounds::none()).unwrap();
-        assert!(r.report.is_ok(), "m={m} k={k}:\n{}", r.report);
+        assert!(r.is_ok(), "m={m} k={k}:\n{}\n{}", r.input, r.report);
         assert_eq!(
             r.dilation,
             expected_dilation(&outages, k, l),
@@ -57,7 +57,7 @@ fn emitted_partial_sums_schedules_degrade_verifiably() {
         let schedule = spec.emit();
         let outages = Outages::new(k).kill(0, 1);
         let r = verify_degraded(&schedule, &outages, &Bounds::none()).unwrap();
-        assert!(r.report.is_ok(), "p={p} k={k}:\n{}", r.report);
+        assert!(r.is_ok(), "p={p} k={k}:\n{}\n{}", r.input, r.report);
         assert_eq!(
             r.dilation,
             expected_dilation(&outages, k, schedule.cycle_count()),
@@ -76,7 +76,7 @@ fn degrading_to_one_survivor_hits_the_lemma_bound_exactly() {
     let schedule = spec.emit();
     let outages = Outages::new(4).kill(0, 0).kill(1, 0).kill(3, 0);
     let r = verify_degraded(&schedule, &outages, &Bounds::none()).unwrap();
-    assert!(r.report.is_ok(), "{}", r.report);
+    assert!(r.is_ok(), "{}\n{}", r.input, r.report);
     // k' = 1 from cycle 0: the degrade is the fully serialized schedule,
     // exactly k × the original cycle count — the lemma bound is tight.
     assert_eq!(r.dilation, 4 * schedule.cycle_count());
@@ -165,6 +165,28 @@ fn folding_cannot_mask_a_virtual_collision() {
             writers: vec![0, 1],
         }]
     );
+}
+
+#[test]
+fn degrading_cannot_mask_an_out_of_range_wire_route() {
+    // MCB(2, 2): P0 broadcasts to P1 on channel 1 in cycle 0, but the
+    // wire move names cycle 1, past the one-cycle schedule's end.
+    let mut b = ScheduleBuilder::new("stray route", 2, 2);
+    b.begin_cycle();
+    b.write(0, 1);
+    b.read(1, 1);
+    b.declare_slots(1);
+    b.wire_move(1, 0, 1, 1, 0, 0);
+    let schedule = b.finish();
+    // With channel 0 dead from cycle 0 the broadcast moves to physical
+    // cycle 1, where the verbatim route now finds it: the degraded
+    // schedule alone verifies clean, and only the input's verdict fails.
+    let outages = Outages::new(2).kill(0, 0);
+    let r = verify_degraded(&schedule, &outages, &Bounds::none()).unwrap();
+    assert!(r.report.is_ok(), "{}", r.report);
+    assert!(!r.is_ok());
+    let kinds: Vec<&str> = r.input.violations.iter().map(Violation::kind).collect();
+    assert_eq!(kinds, ["wire_move_mismatch"]);
 }
 
 #[test]

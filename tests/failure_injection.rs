@@ -8,7 +8,7 @@
 use mcb::algos::heal::SelfHealing;
 use mcb::net::{Backend, ChanId, FaultKind, FaultPlan, NetError, Network, ProcCtx, ProcId};
 
-const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Pooled];
+const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Vector];
 
 #[test]
 fn write_collision_mid_protocol_fails_cleanly() {
@@ -328,7 +328,7 @@ fn census_exhaustion_escalates_to_unrecoverable() {
         ),
     ];
     for (healer, want_cycle, want_attempts) in cases {
-        for backend in [Backend::Threaded, Backend::Pooled, Backend::Vector] {
+        for backend in BACKENDS {
             let err = healer
                 .clone()
                 .backend(backend)

@@ -18,7 +18,7 @@ use mcb_serve::records::{
 };
 use mcb_serve::JobSpec;
 
-const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Pooled];
+const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Vector];
 
 fn cols(m: usize, k: usize) -> Vec<Vec<Option<u64>>> {
     (0..k)
@@ -223,7 +223,7 @@ fn v5_profile_and_hist_records_round_trip() {
     // Profiling is wall-clock (nondeterministic), so this is a
     // single-backend shape check, not a byte diff.
     let report = Network::new(4, 2)
-        .backend(Backend::Pooled)
+        .backend(Backend::Vector)
         .profile(true)
         .run(|ctx| {
             ctx.phase("chat");
@@ -244,7 +244,7 @@ fn v5_profile_and_hist_records_round_trip() {
     assert_eq!(profs.len(), 1);
     assert_eq!(
         profs[0].get("backend").and_then(Json::as_str),
-        Some("pooled")
+        Some("vector")
     );
     assert_eq!(get_u64(profs[0], "workers") as usize, prof.workers);
     assert_eq!(get_u64(profs[0], "wall_ns"), prof.wall_ns);
@@ -273,8 +273,9 @@ fn v5_profile_and_hist_records_round_trip() {
         assert_eq!(get_u64(rec, "p95_ns"), h.p95());
         assert_eq!(get_u64(rec, "p99_ns"), h.p99());
     }
-    // A pooled run times cycles, barriers, and stalls; dispatch is the
-    // vector driver's histogram and must be empty here.
+    // A closure run under Vector goes through the fiber driver, which
+    // times cycles, barriers, and stalls; dispatch is the columnar step
+    // driver's histogram and must be empty here.
     assert!(get_u64(hists[0], "count") > 0, "cycle latency sampled");
     assert!(get_u64(hists[1], "count") > 0, "barrier waits sampled");
     assert_eq!(get_u64(hists[3], "count"), 0, "no vector dispatch");

@@ -1,7 +1,7 @@
 //! Mid-run monitor coherence: a [`RunMonitor`] snapshot taken from
 //! another thread while the run is in flight must be *coherent* — cycle
 //! monotone across successive snapshots, every counter bounded by the
-//! final totals — on all three backends, and the post-run snapshot must
+//! final totals — on both backends, and the post-run snapshot must
 //! equal the report's. The run is gated: each processor keeps traffic
 //! flowing until the polling thread has actually observed it mid-flight,
 //! so the "live read" is guaranteed, not a timing accident.
@@ -15,7 +15,7 @@ use mcb::net::{
     Backend, ChanId, MonitorOpts, MonitorState, Network, RunMonitor, Step, StepEnv, StepProtocol,
 };
 
-const BACKENDS: [Backend; 3] = [Backend::Threaded, Backend::Pooled, Backend::Vector];
+const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Vector];
 
 /// Round-robin traffic in three acts: a fixed warm-up, a hold that loops
 /// until the polling thread releases it (still delivering a message every

@@ -1,6 +1,6 @@
 //! Self-healing chaos tests: the no-oracle drivers must survive random
 //! unplanned fault plans — channel deaths, dropped and corrupted frames,
-//! and processor crashes that nobody is told about — on all three
+//! and processor crashes that nobody is told about — on both
 //! backends, with the *complete* fault-free output (crashed processors'
 //! results included, via takeover), physical cycles inside the healing
 //! cost contract, and the whole epoch history statically verified by
@@ -26,7 +26,7 @@ use mcb::net::{
 };
 use mcb_rng::Rng64;
 
-const BACKENDS: [Backend; 3] = [Backend::Threaded, Backend::Pooled, Backend::Vector];
+const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Vector];
 
 fn cols(m: usize, k: usize, salt: u64) -> Vec<Vec<Option<u64>>> {
     (0..k)
