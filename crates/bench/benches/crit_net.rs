@@ -27,7 +27,9 @@ use std::time::Duration;
 
 use mcb_bench::timing::{fmt_duration, measure, Stats};
 use mcb_bench::Table;
-use mcb_net::{Backend, ChanId, Network, ProcCtx, ProcId, RunReport, Step, StepEnv, StepProtocol};
+use mcb_net::{
+    Backend, ChanId, FrameRead, Network, ProcCtx, ProcId, RunReport, Step, StepEnv, StepProtocol,
+};
 
 /// Largest `p` the threaded step leg runs at.
 const THREADED_MAX_P: usize = 512;
@@ -70,7 +72,8 @@ impl RankSort {
 impl StepProtocol<u64> for RankSort {
     type Output = u64;
 
-    fn step(&mut self, env: &StepEnv, input: Option<u64>) -> Step<u64, u64> {
+    fn step(&mut self, env: &StepEnv, input: FrameRead<u64>) -> Step<u64, u64> {
+        let input = input.clean();
         let p = env.p;
         if let Some(seen) = input {
             let prev = self.turn - 1;

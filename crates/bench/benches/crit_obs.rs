@@ -13,7 +13,12 @@
 //!
 //! Three acceptance gates, recorded in `BENCH_obs.json` —
 //! each one a ratio of two configs that differ in exactly *one*
-//! dimension, so no gate is polluted by a neighbouring cost:
+//! dimension, so no gate is polluted by a neighbouring cost. The two
+//! configs of a gate are sampled alternately in one loop (the order
+//! flipped every pair), and the gate reads the median of the per-pair
+//! ratios: a run of ~10 ms drifts by more than 5% over the seconds a
+//! config-by-config sweep takes, and pairing cancels that drift instead
+//! of measuring it:
 //!
 //! - **phase labels** — `phased` within **1.25×** of `baseline` (the
 //!   pre-monitor criterion, kept: per-cycle phase attribution is the
@@ -37,10 +42,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use mcb_bench::timing::{fmt_duration, measure, Stats};
+use mcb_bench::timing::{fmt_duration, time_once, Stats};
 use mcb_bench::Table;
 use mcb_json::Json;
-use mcb_net::{Backend, ChanId, Network, ProcId, RunMonitor, Step, StepEnv, StepProtocol};
+use mcb_net::{
+    Backend, ChanId, FrameRead, Network, ProcId, RunMonitor, Step, StepEnv, StepProtocol,
+};
 
 /// Single-channel rank sort (see `crit_net` for the protocol), optionally
 /// labelling its two stages as phases.
@@ -68,7 +75,8 @@ impl RankSort {
 impl StepProtocol<u64> for RankSort {
     type Output = u64;
 
-    fn step(&mut self, env: &StepEnv, input: Option<u64>) -> Step<u64, u64> {
+    fn step(&mut self, env: &StepEnv, input: FrameRead<u64>) -> Step<u64, u64> {
+        let input = input.clean();
         let p = env.p;
         if let Some(seen) = input {
             let prev = self.turn - 1;
@@ -178,57 +186,111 @@ fn milli_ratio(s: &Stats, base: &Stats) -> u64 {
     (s.median.as_nanos() * 1000 / b) as u64
 }
 
+/// One config's runs: the monitor it attaches, and a 1 kHz dashboard
+/// thread that snapshots the monitor only while this config's sample is
+/// being timed (it sleeps through its twin's samples).
+struct Runner {
+    cfg: Config,
+    monitor: Option<RunMonitor>,
+    polling: Arc<AtomicBool>,
+}
+
+impl Runner {
+    fn new(cfg: Config) -> Self {
+        Runner {
+            cfg,
+            monitor: (cfg.monitor != Monitoring::Off).then(RunMonitor::new),
+            polling: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    fn time(&self, p: usize) -> Duration {
+        let polled = self.cfg.monitor == Monitoring::Polled;
+        self.polling.store(polled, Ordering::Release);
+        let t = time_once(|| run_once(p, BACKEND.0, self.cfg, self.monitor.as_ref()));
+        self.polling.store(false, Ordering::Release);
+        t
+    }
+}
+
+/// Sample `a` and `b` alternately, `pairs` times each, flipping which goes
+/// first every pair. Returns both configs' stats and the median of the
+/// per-pair `a / b` ratios, in milli-units.
+fn measure_pair(p: usize, pairs: usize, a: &Runner, b: &Runner) -> (Stats, Stats, u64) {
+    a.time(p);
+    b.time(p);
+    let (mut ta, mut tb, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let (x, y) = if i % 2 == 0 {
+            let x = a.time(p);
+            (x, b.time(p))
+        } else {
+            let y = b.time(p);
+            (a.time(p), y)
+        };
+        ratios.push((x.as_nanos() * 1000 / y.as_nanos().max(1)) as u64);
+        ta.push(x);
+        tb.push(y);
+    }
+    ratios.sort_unstable();
+    let ratio = ratios[(ratios.len() - 1) / 2];
+    (Stats::from_samples(ta), Stats::from_samples(tb), ratio)
+}
+
 fn main() {
     let quick = std::env::var_os("MCB_BENCH_QUICK").is_some();
     let p = if quick { 128 } else { 512 };
-    let samples = if quick { 3 } else { 17 };
+    let pairs = if quick { 3 } else { 17 };
 
     let mut table = Table::new(
         "crit_obs",
         format!("E18: observability overhead, rank sort p={p} (2p cycles), monitor on/off"),
         &["backend", "config", "median", "mean", "vs baseline"],
     );
-    let (backend, bname) = BACKEND;
-    let mut rows: Vec<Row> = Vec::new();
-    let mut base: Option<Stats> = None;
-    for cfg in CONFIGS {
-        let stats = match cfg.monitor {
-            Monitoring::Off => measure(samples, || run_once(p, backend, cfg, None)),
-            Monitoring::Attached => {
-                let mon = RunMonitor::new();
-                measure(samples, || run_once(p, backend, cfg, Some(&mon)))
+    let (_, bname) = BACKEND;
+    let [baseline, phased, monitored, polled] = CONFIGS.map(Runner::new);
+    // A dashboard on another thread, snapshotting at 1 kHz while a polled
+    // sample runs.
+    let stop = Arc::new(AtomicBool::new(false));
+    let poller = {
+        let (mon, polling, stop) = (
+            polled.monitor.clone().expect("polled config has a monitor"),
+            polled.polling.clone(),
+            stop.clone(),
+        );
+        thread::spawn(move || {
+            let mut polls = 0u64;
+            while !stop.load(Ordering::Acquire) {
+                if polling.load(Ordering::Acquire) {
+                    std::hint::black_box(mon.snapshot());
+                    polls += 1;
+                }
+                thread::sleep(Duration::from_millis(1));
             }
-            Monitoring::Polled => {
-                // A dashboard on another thread, snapshotting at 1 kHz
-                // for the whole measurement window.
-                let mon = RunMonitor::new();
-                let stop = Arc::new(AtomicBool::new(false));
-                let poller = {
-                    let (mon, stop) = (mon.clone(), stop.clone());
-                    thread::spawn(move || {
-                        let mut polls = 0u64;
-                        while !stop.load(Ordering::Acquire) {
-                            std::hint::black_box(mon.snapshot());
-                            polls += 1;
-                            thread::sleep(Duration::from_millis(1));
-                        }
-                        polls
-                    })
-                };
-                let stats = measure(samples, || run_once(p, backend, cfg, Some(&mon)));
-                stop.store(true, Ordering::Release);
-                let polls = poller.join().expect("poller thread");
-                assert!(polls > 0, "the dashboard never got a snapshot in");
-                stats
-            }
-        };
-        let baseline = *base.get_or_insert(stats);
-        rows.push(Row {
-            config: cfg,
-            stats,
-            vs_baseline_milli: milli_ratio(&stats, &baseline),
-        });
-    }
+            polls
+        })
+    };
+    // Each gate's twins, sampled pairwise.
+    let (s_phased, s_baseline, labels) = measure_pair(p, pairs, &phased, &baseline);
+    let (s_monitored, _, off) = measure_pair(p, pairs, &monitored, &phased);
+    let (s_polled, _, on) = measure_pair(p, pairs, &polled, &phased);
+    stop.store(true, Ordering::Release);
+    let polls = poller.join().expect("poller thread");
+    assert!(polls > 0, "the dashboard never got a snapshot in");
+
+    let rows: Vec<Row> = [
+        (baseline.cfg, s_baseline),
+        (phased.cfg, s_phased),
+        (monitored.cfg, s_monitored),
+        (polled.cfg, s_polled),
+    ]
+    .into_iter()
+    .map(|(config, stats)| Row {
+        config,
+        stats,
+        vs_baseline_milli: milli_ratio(&stats, &s_baseline),
+    })
+    .collect();
 
     for r in &rows {
         table.row(vec![
@@ -245,7 +307,7 @@ fn main() {
     }
     table.emit();
 
-    let gates = eval_gates(&rows);
+    let gates = eval_gates(labels, off, on);
     for g in &gates {
         println!(
             "[gate] {}: {}.{:03}x vs gate {}.{:03}x -> {}",
@@ -270,21 +332,11 @@ struct Gate {
     pass: bool,
 }
 
-fn eval_gates(rows: &[Row]) -> Vec<Gate> {
+/// The three gates from their per-pair median ratios (milli-units). Each
+/// compares two configs differing in exactly one dimension: labels vs
+/// none, then monitor vs the labelled twin.
+fn eval_gates(labels: u64, off: u64, on: u64) -> Vec<Gate> {
     let (_, bname) = BACKEND;
-    let stats = |config: &str| {
-        rows.iter()
-            .find(|r| r.config.name == config)
-            .map(|r| r.stats)
-            .expect("every config is measured")
-    };
-    let baseline = stats("baseline");
-    let phased = stats("phased");
-    // Each gate compares two configs differing in exactly one dimension:
-    // labels vs none, then monitor vs the labelled twin.
-    let labels = milli_ratio(&phased, &baseline);
-    let off = milli_ratio(&stats("monitored"), &phased);
-    let on = milli_ratio(&stats("polled"), &phased);
     [
         ("phase labels", labels, GATE_PHASE_MILLI),
         ("monitor-off", off, GATE_OFF_MILLI),

@@ -30,7 +30,7 @@ use std::time::Duration;
 use mcb_algos::columnsort_steps;
 use mcb_bench::timing::{fmt_duration, measure, Stats};
 use mcb_bench::Table;
-use mcb_net::{Backend, ChanId, Network, ProcId, Step, StepEnv, StepProtocol};
+use mcb_net::{Backend, ChanId, FrameRead, Network, ProcId, Step, StepEnv, StepProtocol};
 
 /// Every processor active every cycle: processor `now % p` broadcasts,
 /// everyone reads the channel. Fixed cycle count, so wall-clock divided by
@@ -43,7 +43,8 @@ struct DispatchSweep {
 impl StepProtocol<u64> for DispatchSweep {
     type Output = u64;
 
-    fn step(&mut self, env: &StepEnv, input: Option<u64>) -> Step<u64, u64> {
+    fn step(&mut self, env: &StepEnv, input: FrameRead<u64>) -> Step<u64, u64> {
+        let input = input.clean();
         if let Some(v) = input {
             self.sum = self.sum.wrapping_add(v);
         }
@@ -85,7 +86,8 @@ struct RankSort {
 impl StepProtocol<u64> for RankSort {
     type Output = u64;
 
-    fn step(&mut self, env: &StepEnv, input: Option<u64>) -> Step<u64, u64> {
+    fn step(&mut self, env: &StepEnv, input: FrameRead<u64>) -> Step<u64, u64> {
+        let input = input.clean();
         let p = env.p;
         if let Some(seen) = input {
             let prev = self.turn - 1;

@@ -142,27 +142,33 @@ pub mod timing {
         pub fn speedup_over(&self, other: &Stats) -> f64 {
             other.median.as_secs_f64() / self.median.as_secs_f64()
         }
+
+        /// Summarize a non-empty set of timed samples.
+        pub fn from_samples(mut times: Vec<Duration>) -> Stats {
+            assert!(!times.is_empty(), "need at least one sample");
+            times.sort_unstable();
+            let total: Duration = times.iter().sum();
+            Stats {
+                min: times[0],
+                median: times[(times.len() - 1) / 2],
+                mean: total / times.len() as u32,
+                samples: times.len(),
+            }
+        }
+    }
+
+    /// Wall-clock of one call to `f`.
+    pub fn time_once<R>(f: impl FnOnce() -> R) -> Duration {
+        let start = Instant::now();
+        std::hint::black_box(f());
+        start.elapsed()
     }
 
     /// Time `f` over `samples` runs (after one untimed warmup run).
     pub fn measure<R>(samples: usize, mut f: impl FnMut() -> R) -> Stats {
         assert!(samples > 0, "need at least one sample");
         std::hint::black_box(f());
-        let mut times: Vec<Duration> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(f());
-                start.elapsed()
-            })
-            .collect();
-        times.sort_unstable();
-        let total: Duration = times.iter().sum();
-        Stats {
-            min: times[0],
-            median: times[(times.len() - 1) / 2],
-            mean: total / samples as u32,
-            samples,
-        }
+        Stats::from_samples((0..samples).map(|_| time_once(&mut f)).collect())
     }
 
     /// Render a duration with a sensible unit for table cells.

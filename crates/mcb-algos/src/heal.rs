@@ -39,6 +39,17 @@
 //! `⌈k/k′⌉` dilation at run time; the static proof in
 //! [`heal_schedule`]/`mcb-check` verifies the fully-dilated remap).
 //!
+//! # Execution
+//!
+//! The heal loop ([`run_program_in`]) and the census
+//! ([`EpochCtx::reconfigure`]) are `async fn`s over a
+//! [`StepCtx`]: every `ctx.cycle(..).await` is one network cycle.
+//! [`SelfHealing`] wraps the loop in an [`AsyncStep`] and runs it with
+//! [`Network::run_steps`], so under [`Backend::Vector`] every processor of
+//! a healed run is advanced by the single-threaded vector driver — no OS
+//! thread or fiber per processor — and [`Backend::Threaded`] runs the same
+//! machines one OS thread each, as the reference.
+//!
 //! # Cost contract
 //!
 //! With `L` fault-free cycles ([`run_program_offline`]), `R` committed
@@ -57,8 +68,9 @@ use crate::columnsort::{check_shape, Phase, PHASES};
 use crate::local::sort_desc;
 use crate::msg::{Key, Word};
 use mcb_net::{
-    escalate_diverged, Backend, ControlCodec, EpochCause, EpochCtx, EpochOpts, EpochRecord,
-    FaultPlan, FaultSummary, FrameRead, Metrics, NetError, Network, ProcCtx, RunMonitor, Trace,
+    escalate_diverged, AsyncStep, Backend, ControlCodec, EpochCause, EpochCtx, EpochOpts,
+    EpochRecord, FaultPlan, FaultSummary, FrameRead, Metrics, NetError, Network, RunMonitor,
+    StepCtx, Trace,
 };
 
 // ---------------------------------------------------------------------------
@@ -195,14 +207,15 @@ pub mod mutation {
 }
 
 /// Execute `prog` inside a live network protocol under `ectx`, healing
-/// around detected faults. Returns `None` when this processor was excluded
-/// by a census (the survivors carry its roles and its output).
+/// around detected faults. Resolves to `None` when this processor was
+/// excluded by a census (the survivors carry its roles and its output).
 ///
-/// Every live processor must call this in the same cycle with identical
-/// `prog` and a fresh identical `ectx`; after it returns, `ectx.records()`
-/// holds the committed reconfiguration log (identical on every survivor).
-pub fn run_program_in<K: Key, P: HealProgram<K>>(
-    ctx: &mut ProcCtx<'_, Word<K>>,
+/// Every live processor must start this in the same cycle with identical
+/// `prog` and a fresh identical `ectx`, inside an
+/// [`AsyncStep`] body; after it resolves, `ectx.records()` holds the
+/// committed reconfiguration log (identical on every survivor).
+pub async fn run_program_in<K: Key, P: HealProgram<K>>(
+    ctx: &mut StepCtx<Word<K>>,
     ectx: &mut EpochCtx,
     prog: &P,
 ) -> Option<P::Output> {
@@ -217,7 +230,7 @@ pub fn run_program_in<K: Key, P: HealProgram<K>>(
             for (t, (role, word)) in rounds.iter().enumerate() {
                 let chan = ectx.phys_channel(t);
                 let write = (ectx.host(*role) == me).then(|| (chan, word.clone()));
-                match ctx.framed_cycle(write, Some(chan)) {
+                match ctx.cycle(write, Some(chan)).await {
                     FrameRead::Clean(w) => {
                         if let Some((_, foreign)) = w.decode_ping() {
                             // A census ping where the schedule expects
@@ -233,7 +246,7 @@ pub fn run_program_in<K: Key, P: HealProgram<K>>(
                         } else {
                             EpochCause::Silence
                         };
-                        ectx.reconfigure(ctx, cause);
+                        ectx.reconfigure(ctx, cause).await;
                         if ectx.is_excluded() {
                             return None;
                         }
@@ -856,9 +869,13 @@ impl SelfHealing {
         if let Some(mon) = &self.monitor {
             net = net.monitor(mon);
         }
-        let report = net.run(move |ctx| {
-            let mut ectx = EpochCtx::new(p, k, opts);
-            run_program_in(ctx, &mut ectx, &prog).map(|out| (out, ectx.into_records()))
+        let prog = &prog;
+        let report = net.run_steps(|_| {
+            AsyncStep::new(move |mut ctx| async move {
+                let mut ectx = EpochCtx::new(p, k, opts);
+                let out = run_program_in(&mut ctx, &mut ectx, prog).await;
+                out.map(|out| (out, ectx.into_records()))
+            })
         })?;
         let (output, epochs) = report
             .results

@@ -33,7 +33,8 @@ use crate::msg::{Key, Word};
 use crate::schedule::TransformSchedule;
 use crate::sort::grouped::SortReport;
 use mcb_net::{
-    Backend, ChanId, MsgWidth, NetError, Network, ProcId, RunReport, Step, StepEnv, StepProtocol,
+    Backend, ChanId, FrameRead, MsgWidth, NetError, Network, ProcId, RunReport, Step, StepEnv,
+    StepProtocol,
 };
 
 // ---------------------------------------------------------------------------
@@ -139,7 +140,8 @@ impl<K: Key> RankSortStep<K> {
 impl<K: Key> StepProtocol<Word<K>> for RankSortStep<K> {
     type Output = Vec<K>;
 
-    fn step(&mut self, env: &StepEnv, input: Option<Word<K>>) -> Step<Word<K>, Vec<K>> {
+    fn step(&mut self, env: &StepEnv, input: FrameRead<Word<K>>) -> Step<Word<K>, Vec<K>> {
+        let input = input.clean();
         match self.state {
             RsState::Start => {
                 env.phase("rs:census");
@@ -380,7 +382,8 @@ where
 {
     type Output = Option<Vec<Option<K>>>;
 
-    fn step(&mut self, env: &StepEnv, input: Option<M>) -> Step<M, Self::Output> {
+    fn step(&mut self, env: &StepEnv, input: FrameRead<M>) -> Step<M, Self::Output> {
+        let input = input.clean();
         // Land the cycle in flight, if any (owners only).
         if let Some(ap) = &mut self.apply {
             let sched = &self.scheds[ap.sched];

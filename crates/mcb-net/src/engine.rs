@@ -83,13 +83,14 @@ pub const DEFAULT_STALL_WINDOW: u64 = 1_000_000;
 /// Both backends agree byte-for-byte on every observable:
 ///
 /// ```
-/// use mcb_net::{Backend, ChanId, Network, Step, StepEnv, StepProtocol};
+/// use mcb_net::{Backend, ChanId, FrameRead, Network, Step, StepEnv, StepProtocol};
 ///
 /// /// Processor 0 broadcasts once; everyone returns what they read.
 /// struct Echo;
 /// impl StepProtocol<u64> for Echo {
 ///     type Output = Option<u64>;
-///     fn step(&mut self, env: &StepEnv, input: Option<u64>) -> Step<u64, Option<u64>> {
+///     fn step(&mut self, env: &StepEnv, input: FrameRead<u64>) -> Step<u64, Option<u64>> {
+///         let input = input.clean();
 ///         match env.cycles_used {
 ///             0 => Step::Yield {
 ///                 write: (env.id.index() == 0).then_some((ChanId(0), 7u64)),
@@ -277,13 +278,14 @@ impl Network {
     /// * every delivered message is charged [`FRAME_HEADER_BITS`] extra
     ///   bits (cycle and message counts are unchanged);
     /// * `Corrupt` faults *jam* the channel slot instead of silently
-    ///   emptying it, so [`ProcCtx::framed_cycle`] readers observe
-    ///   [`FrameRead::Noise`] where unframed readers see an empty channel.
+    ///   emptying it, so framed readers (every [`StepProtocol`] input, and
+    ///   [`StepCtx::cycle`](crate::StepCtx::cycle)) observe
+    ///   [`FrameRead::Noise`] where [`ProcCtx::cycle`] sees an empty
+    ///   channel.
     ///
     /// Framing is the detection substrate for the no-oracle self-healing
-    /// drivers; protocols that never call
-    /// [`framed_cycle`](ProcCtx::framed_cycle) behave identically apart
-    /// from the bit accounting.
+    /// drivers; protocols that fold every read with [`FrameRead::clean`]
+    /// behave identically apart from the bit accounting.
     pub fn framing(mut self, yes: bool) -> Self {
         self.framing = yes;
         self
@@ -299,11 +301,6 @@ impl Network {
     pub fn monitor(mut self, mon: &RunMonitor) -> Self {
         self.monitor = Some(mon.core());
         self
-    }
-
-    /// The attached monitor core, for the fiber driver's contexts.
-    pub(crate) fn monitor_core(&self) -> Option<Arc<MonitorCore>> {
-        self.monitor.clone()
     }
 
     fn validate(&self) -> Result<(), NetError> {
@@ -391,7 +388,7 @@ impl Network {
     pub fn run_steps<M, S, F>(&self, factory: F) -> Result<RunReport<S::Output, M>, NetError>
     where
         M: Clone + Send + Sync + MsgWidth,
-        S: StepProtocol<M> + Send,
+        S: StepProtocol<M>,
         S::Output: Send,
         F: Fn(ProcId) -> S + Sync,
     {
@@ -400,23 +397,23 @@ impl Network {
             Backend::Vector => crate::vector::run_steps(self, &factory),
             _ => self.run_threaded(&|ctx: &mut ProcCtx<'_, M>| {
                 let mut machine = factory(ctx.id());
-                let mut input = None;
+                let mut input = FrameRead::Silence;
                 loop {
                     let env = ctx.step_env();
-                    let step = machine.step(&env, input.take());
+                    let step = machine.step(&env, input);
                     // A phase requested during `step` labels the yielded
                     // cycle (same ordering as the vector driver).
                     if let Some(name) = env.take_phase() {
                         ctx.phase(&name);
                     }
-                    match step {
-                        Step::Yield { write, read } => input = ctx.cycle(write, read),
+                    input = match step {
+                        Step::Yield { write, read } => ctx.framed_cycle(write, read),
                         Step::IdleFor(n) => {
                             ctx.idle_for(n.max(1));
-                            input = None;
+                            FrameRead::Silence
                         }
                         Step::Done(r) => break r,
-                    }
+                    };
                 }
             }),
         }
@@ -1152,22 +1149,13 @@ enum CtxInner<'a, M> {
         /// the next rendezvous so the worker stamps it before applying the
         /// cycle.
         pending_phase: Option<String>,
-        /// The run's live-monitor core, mirrored here so the epoch layer
-        /// can post reconfiguration events without a worker round-trip.
-        monitor: Option<Arc<MonitorCore>>,
         port: crate::fiber::FiberPort<M>,
     },
 }
 
 impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
     /// A fiber-mode context for the fiber driver (see [`CtxInner::Fiber`]).
-    pub(crate) fn fiber(
-        id: ProcId,
-        p: usize,
-        k: usize,
-        monitor: Option<Arc<MonitorCore>>,
-        port: crate::fiber::FiberPort<M>,
-    ) -> Self {
+    pub(crate) fn fiber(id: ProcId, p: usize, k: usize, port: crate::fiber::FiberPort<M>) -> Self {
         ProcCtx {
             id,
             local: LocalMetrics::default(),
@@ -1179,18 +1167,8 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
                 k,
                 now: 0,
                 pending_phase: None,
-                monitor,
                 port,
             },
-        }
-    }
-
-    /// The run's live-monitor core, if one is attached — the epoch layer's
-    /// hook for posting reconfiguration events.
-    pub(crate) fn monitor_core(&self) -> Option<&Arc<MonitorCore>> {
-        match &self.inner {
-            CtxInner::Lockstep { shared, .. } => shared.monitor.as_ref(),
-            CtxInner::Fiber { monitor, .. } => monitor.as_ref(),
         }
     }
 
@@ -1245,9 +1223,9 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
     /// when no read was requested *or* the read channel was empty (the
     /// model's detectable-empty-channel semantics).
     ///
-    /// This is [`framed_cycle`](Self::framed_cycle) with the read folded
-    /// back to the model's two-way observation: a jammed slot reads as
-    /// empty. Without [`Network::framing`] no slot is ever jammed.
+    /// The read is the engine's framed classification ([`FrameRead`])
+    /// folded back to the model's two-way observation: a jammed slot reads
+    /// as empty. Without [`Network::framing`] no slot is ever jammed.
     pub fn cycle(&mut self, write: Option<(ChanId, M)>, read: Option<ChanId>) -> Option<M> {
         self.framed_cycle(write, read).clean()
     }
@@ -1262,7 +1240,8 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
     /// Requires [`Network::framing`] for `Noise` to ever be observable
     /// (without it, corrupt faults empty the slot and read as silence).
     /// With no `read` requested the result is [`FrameRead::Silence`].
-    pub fn framed_cycle(
+    /// Step machines receive this read as their input.
+    pub(crate) fn framed_cycle(
         &mut self,
         write: Option<(ChanId, M)>,
         read: Option<ChanId>,
@@ -1366,7 +1345,11 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
     }
 
     /// Snapshot of the identity/clock accessors, for [`StepProtocol`]s.
-    pub(crate) fn step_env(&self) -> StepEnv {
+    pub(crate) fn step_env(&self) -> StepEnv<'a> {
+        let monitor = match &self.inner {
+            CtxInner::Lockstep { shared, .. } => shared.monitor.as_ref(),
+            CtxInner::Fiber { .. } => None,
+        };
         StepEnv::new(
             self.id,
             self.p(),
@@ -1374,6 +1357,7 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
             self.now(),
             self.local.cycles,
             self.local.messages,
+            monitor,
         )
     }
 

@@ -9,10 +9,13 @@
 //! instantly and in-band — no heartbeats, no out-of-band oracle, no extra
 //! detection cycles.
 //!
-//! On suspicion, every live processor calls [`EpochCtx::reconfigure`],
+//! On suspicion, every live processor awaits [`EpochCtx::reconfigure`],
 //! which runs a bounded **census**: one framed cycle per (live channel,
 //! live processor) pair in which exactly that processor pings exactly that
-//! channel and everyone reads it. The census has a one-writer-per-cycle
+//! channel and everyone reads it. The census is an `async fn` over a
+//! [`StepCtx`], so it runs inside an [`AsyncStep`](crate::AsyncStep)
+//! machine on either backend's step driver — the vector driver advances
+//! every participant from one thread, with no per-processor OS thread. The census has a one-writer-per-cycle
 //! schedule, so it is trivially collision-free, and its observations are
 //! again common knowledge:
 //!
@@ -43,11 +46,11 @@
 //! of distinct faults in the plan (a transient fault consumed by a replay
 //! does not re-fire, so every epoch bump retires at least one fault).
 
-use crate::engine::{Escalated, ProcCtx};
+use crate::engine::Escalated;
 use crate::error::NetError;
 use crate::frame::FrameRead;
 use crate::ids::ChanId;
-use crate::message::MsgWidth;
+use crate::step::StepCtx;
 
 /// Encoding hooks for the epoch protocol's control traffic.
 ///
@@ -254,18 +257,16 @@ impl EpochCtx {
 
     /// Run the census and commit the next epoch.
     ///
-    /// Must be called by **every** live participant in the same cycle (the
-    /// all-read discipline guarantees this: the triggering observation was
-    /// common knowledge). On return, either the shared state has advanced
-    /// to the new epoch — check [`is_excluded`](EpochCtx::is_excluded) —
-    /// or the run has escalated a fatal [`NetError`]
-    /// ([`Unrecoverable`](NetError::Unrecoverable) when the retry budget is
-    /// spent, [`EpochDiverged`](NetError::EpochDiverged) when foreign-epoch
-    /// traffic shows the participants are no longer in agreement).
-    pub fn reconfigure<M>(&mut self, ctx: &mut ProcCtx<'_, M>, cause: EpochCause)
-    where
-        M: Clone + Send + Sync + MsgWidth + ControlCodec,
-    {
+    /// Must be awaited by **every** live participant in the same cycle
+    /// (the all-read discipline guarantees this: the triggering
+    /// observation was common knowledge). On return, either the shared
+    /// state has advanced to the new epoch — check
+    /// [`is_excluded`](EpochCtx::is_excluded) — or the run has escalated a
+    /// fatal [`NetError`] ([`Unrecoverable`](NetError::Unrecoverable) when
+    /// the retry budget is spent, [`EpochDiverged`](NetError::EpochDiverged)
+    /// when foreign-epoch traffic shows the participants are no longer in
+    /// agreement). `cause` is recorded in the committed [`EpochRecord`].
+    pub async fn reconfigure<M: ControlCodec>(&mut self, ctx: &mut StepCtx<M>, cause: EpochCause) {
         let me = ctx.id().index();
         if self.records.len() as u32 >= self.opts.max_epochs {
             escalate(NetError::Unrecoverable {
@@ -281,7 +282,7 @@ impl EpochCtx {
                 for (pi, &pr) in self.live_procs.iter().enumerate() {
                     let write =
                         (pr == me).then(|| (ChanId::from_index(c), M::ping(pr, self.epoch)));
-                    match ctx.framed_cycle(write, Some(ChanId::from_index(c))) {
+                    match ctx.cycle(write, Some(ChanId::from_index(c))).await {
                         FrameRead::Clean(m) => match m.decode_ping() {
                             Some((p_got, e_got)) if p_got == pr && e_got == self.epoch => {
                                 chan_seen[ci] = true;
@@ -333,7 +334,7 @@ impl EpochCtx {
                 // only the lowest live processor posts — one event per
                 // epoch, not one per replica.
                 if self.live_procs.first() == Some(&me) {
-                    if let Some(mon) = ctx.monitor_core() {
+                    if let Some(mon) = ctx.monitor() {
                         mon.on_epoch(self.epoch, ctx.now());
                     }
                 }
@@ -359,11 +360,7 @@ fn escalate(err: NetError) -> ! {
 /// epoch's schedule expected data — the participants are no longer in
 /// agreement and the run cannot proceed. `observed` is the foreign epoch
 /// stamp (`u64::MAX` when the traffic was not decodable).
-pub fn escalate_diverged<M: Clone + Send + Sync + MsgWidth>(
-    ctx: &ProcCtx<'_, M>,
-    expected: u64,
-    observed: u64,
-) -> ! {
+pub fn escalate_diverged<M>(ctx: &StepCtx<M>, expected: u64, observed: u64) -> ! {
     escalate(NetError::EpochDiverged {
         cycle: ctx.now(),
         proc: ctx.id(),

@@ -279,8 +279,11 @@ pub struct ChaosOpts {
     pub stalls: usize,
     /// Maximum length (cycles) of each stall event.
     pub max_stall: u64,
-    /// Processors to crash. Crashed processors lose their data, so leave
-    /// this at 0 for plans that must preserve algorithm output.
+    /// Processors to crash (capped at `p - 1`: at least one processor
+    /// survives). The self-healing runtime adopts a crashed processor's
+    /// role, so its output survives up to `p - 1` crashes; drivers that
+    /// hand each processor private data (closure protocols without a
+    /// takeover) lose it.
     pub crashes: usize,
     /// Correlated-burst storms: each burst picks a seeded start cycle in
     /// `[0, horizon)` and plants one transient per cycle for
@@ -420,9 +423,10 @@ impl FaultPlan {
     }
 
     /// A seeded random plan: `deaths` channels die (never all `k`), plus
-    /// transient drops/corruptions/stalls and optional crashes, all placed
-    /// uniformly in `[0, horizon)` by a [`Rng64`] stream. The same
-    /// `(seed, p, k, opts)` always builds the same plan.
+    /// transient drops/corruptions/stalls and optional crashes (never all
+    /// `p` processors), all placed uniformly in `[0, horizon)` by a
+    /// [`Rng64`] stream. The same `(seed, p, k, opts)` always builds the
+    /// same plan.
     pub fn random(seed: u64, p: usize, k: usize, opts: &ChaosOpts) -> Self {
         let mut rng = Rng64::seed_from_u64(seed);
         let mut plan = FaultPlan::new(p, k);
@@ -469,7 +473,9 @@ impl FaultPlan {
         }
         let mut procs: Vec<usize> = (0..p).collect();
         rng.shuffle(&mut procs);
-        for &i in procs.iter().take(opts.crashes.min(p)) {
+        // The crash draws are the stream's last use, so capping them leaves
+        // every plan with `p > crashes` bit-identical.
+        for &i in procs.iter().take(opts.crashes.min(p.saturating_sub(1))) {
             plan.crashes[i] = Some(rng.random_range(0..horizon));
         }
         plan.ensure_usable_slots();
@@ -832,6 +838,51 @@ mod tests {
         assert!(a.summary().deaths <= 2);
         let c = FaultPlan::random(43, 6, 3, &opts);
         assert_ne!(a, c, "different seeds should differ");
+    }
+
+    #[test]
+    fn random_crashes_leave_a_survivor() {
+        let opts = ChaosOpts {
+            crashes: 2,
+            ..ChaosOpts::unplanned(64)
+        };
+        for seed in 0..32 {
+            let plan = FaultPlan::random(seed, 2, 2, &opts);
+            assert_eq!(plan.summary().crashes, 1, "seed {seed}");
+        }
+        assert_eq!(FaultPlan::random(7, 1, 1, &opts).summary().crashes, 0);
+        assert_eq!(FaultPlan::random(7, 3, 2, &opts).summary().crashes, 2);
+    }
+
+    #[test]
+    fn random_plans_with_more_processors_than_crashes_are_unchanged() {
+        // The storm's chaos mix at a full batch (p = 37): recorded before
+        // the crash cap, which only bites when p <= crashes.
+        let opts = ChaosOpts {
+            horizon: 250,
+            deaths: 2,
+            drops: 2,
+            corrupts: 1,
+            stalls: 0,
+            max_stall: 0,
+            crashes: 2,
+            bursts: 1,
+            burst_len: 4,
+        };
+        let want = concat!(
+            r#"{"record":"fault_plan","p":37,"k":3,"seed":1592590373,"events":["#,
+            r#"{"kind":"channel_death","chan":0,"at":26},"#,
+            r#"{"kind":"channel_death","chan":1,"at":240},"#,
+            r#"{"kind":"crash","proc":1,"at":94},{"kind":"crash","proc":15,"at":155},"#,
+            r#"{"kind":"drop","chan":2,"at":1},{"kind":"drop","chan":1,"at":82},"#,
+            r#"{"kind":"drop","chan":2,"at":90},{"kind":"corrupt","chan":2,"at":89},"#,
+            r#"{"kind":"corrupt","chan":1,"at":91},{"kind":"corrupt","chan":0,"at":92},"#,
+            r#"{"kind":"corrupt","chan":2,"at":209}]}"#,
+        );
+        assert_eq!(
+            FaultPlan::random(0x5eed_0025, 37, 3, &opts).to_jsonl(),
+            want
+        );
     }
 
     #[test]

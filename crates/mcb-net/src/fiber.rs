@@ -34,8 +34,7 @@
 
 use crate::barrier::Sense;
 use crate::engine::{
-    assemble_report, panic_message, Aborted, Backend, Escalated, Network, ProcCtx, RunReport,
-    Shared,
+    assemble_report, panic_message, Aborted, Backend, Network, ProcCtx, RunReport, Shared,
 };
 use crate::error::NetError;
 use crate::fault::{FaultKind, FaultRecord};
@@ -101,9 +100,6 @@ enum FiberEvent<M> {
     Finished,
     /// The protocol panicked with this message.
     Panicked(String),
-    /// The protocol wants to fail the run with this error (the epoch
-    /// census gave up or saw the configuration split).
-    Escalated(NetError),
 }
 
 /// The worker-side half of the rendezvous: a closure protocol suspended on
@@ -184,10 +180,6 @@ where
                 proc: slot.id,
                 message,
             });
-            shared.finished.fetch_add(1, Ordering::AcqRel);
-        }
-        FiberEvent::Escalated(err) => {
-            shared.fail(err);
             shared.finished.fetch_add(1, Ordering::AcqRel);
         }
     }
@@ -348,24 +340,18 @@ where
         ));
     }
 
-    let monitor = net.monitor_core();
     std::thread::scope(|scope| {
         for (i, (port, events)) in ports.into_iter().enumerate() {
             let results = &results;
-            let monitor = monitor.clone();
             scope.spawn(move || {
-                let mut ctx = ProcCtx::fiber(ProcId::from_index(i), p, k, monitor, port);
+                let mut ctx = ProcCtx::fiber(ProcId::from_index(i), p, k, port);
                 match catch_unwind(AssertUnwindSafe(|| protocol(&mut ctx))) {
                     Ok(r) => {
                         results.lock()[i] = Some(r);
                         let _ = events.send(FiberEvent::Finished);
                     }
                     Err(payload) => {
-                        if let Some(esc) = payload.downcast_ref::<Escalated>() {
-                            // The epoch layer gave up: ship the carried
-                            // error to the driver.
-                            let _ = events.send(FiberEvent::Escalated(esc.0.clone()));
-                        } else if payload.downcast_ref::<Aborted>().is_none() {
+                        if payload.downcast_ref::<Aborted>().is_none() {
                             let _ =
                                 events.send(FiberEvent::Panicked(panic_message(payload.as_ref())));
                         }

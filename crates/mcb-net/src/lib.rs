@@ -57,7 +57,8 @@
 //!
 //! * [`engine`] — the executor ([`Network`], [`ProcCtx`], [`Backend`]).
 //! * [`step`] — protocols as resumable state machines ([`StepProtocol`],
-//!   run thread-free at scale by the vector backend).
+//!   run thread-free at scale by the vector backend), hand-written or as
+//!   `async` bodies ([`AsyncStep`], [`StepCtx`]).
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]): channel
 //!   deaths, transient losses, crashes and stalls, byte-identical across
 //!   backends.
@@ -115,6 +116,6 @@ pub use monitor::{
     MonitorEvent, MonitorOpts, MonitorPhase, MonitorSnapshot, MonitorState, RunMonitor,
 };
 pub use phase::PhaseScope;
-pub use step::{Step, StepEnv, StepProtocol};
+pub use step::{AsyncStep, Step, StepCtx, StepEnv, StepProtocol};
 pub use timeline::{render_timeline, render_timeline_with_epochs};
 pub use trace::{Event, Trace};

@@ -46,7 +46,7 @@ use crate::engine::{
 };
 use crate::error::NetError;
 use crate::fault::{FaultKind, FaultRecord};
-use crate::frame::FRAME_HEADER_BITS;
+use crate::frame::{FrameRead, FRAME_HEADER_BITS};
 use crate::ids::{ChanId, ProcId};
 use crate::message::MsgWidth;
 use crate::metrics::{LocalMetrics, LogHistogram};
@@ -83,8 +83,8 @@ struct Cols<M, S: StepProtocol<M>> {
     w: Vec<Option<(ChanId, M)>>,
     /// Pending read intent for the current cycle.
     r: Vec<Option<ChanId>>,
-    /// Read result to feed the next `step` call.
-    inputs: Vec<Option<M>>,
+    /// Framed read result to feed the next `step` call.
+    inputs: Vec<FrameRead<M>>,
     results: Vec<Option<S::Output>>,
     /// `(wake_round, proc)` min-heap of sleeping processors.
     sleepers: BinaryHeap<Reverse<(u64, usize)>>,
@@ -123,8 +123,9 @@ where
             now,
             self.locals[i].cycles,
             self.locals[i].messages,
+            shared.monitor.as_ref(),
         );
-        let input = self.inputs[i].take();
+        let input = std::mem::replace(&mut self.inputs[i], FrameRead::Silence);
         let machine = self.machines[i]
             .as_mut()
             .expect("active processor has a machine");
@@ -188,7 +189,7 @@ pub(crate) fn run_steps<M, S, F>(
 ) -> Result<RunReport<S::Output, M>, NetError>
 where
     M: Clone + Send + Sync + MsgWidth,
-    S: StepProtocol<M> + Send,
+    S: StepProtocol<M>,
     S::Output: Send,
     F: Fn(ProcId) -> S + Sync,
 {
@@ -206,7 +207,7 @@ where
         status: vec![Status::Active; p],
         w: (0..p).map(|_| None).collect(),
         r: vec![None; p],
-        inputs: (0..p).map(|_| None).collect(),
+        inputs: (0..p).map(|_| FrameRead::Silence).collect(),
         results: (0..p).map(|_| None).collect(),
         sleepers: BinaryHeap::new(),
         crashes: BinaryHeap::new(),
@@ -355,11 +356,11 @@ where
                         channel: c,
                         k,
                     });
-                    None
+                    FrameRead::Silence
                 }
                 Some(c) => {
                     if shared.plan.as_ref().is_some_and(|pl| pl.is_stalled(i, now)) {
-                        // Blacked-out receiver: empty channel regardless of
+                        // Blacked-out receiver: silence regardless of
                         // traffic.
                         shared.record_fault(FaultRecord {
                             cycle: now,
@@ -367,18 +368,16 @@ where
                             proc: Some(ProcId::from_index(i)),
                             chan: None,
                         });
-                        None
+                        FrameRead::Silence
+                    } else if slot_jam[c.index()] {
+                        FrameRead::Noise
                     } else {
-                        // A jammed slot reads as noise, which a step
-                        // machine's two-way input folds to empty.
-                        if slot_jam[c.index()] {
-                            None
-                        } else {
-                            slot_msg[c.index()].as_ref().map(|(_, m)| m.clone())
-                        }
+                        slot_msg[c.index()]
+                            .as_ref()
+                            .map_or(FrameRead::Silence, |(_, m)| FrameRead::Clean(m.clone()))
                     }
                 }
-                None => None,
+                None => FrameRead::Silence,
             };
             cols.inputs[i] = got;
             cols.locals[i].record_cycle(now);

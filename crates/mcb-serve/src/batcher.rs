@@ -65,8 +65,9 @@ pub struct ServeConfig {
     /// Channels per batch instance.
     pub k: usize,
     /// Execution backend for batch runs ([`Backend::Vector`] by default:
-    /// a healed batch is a closure protocol, so it runs on that backend's
-    /// fiber driver, `min(p, cores)` workers for the whole batch).
+    /// a healed batch is a step machine per processor, so the vector
+    /// driver advances the whole batch from the batcher's own thread, with
+    /// no per-processor OS thread).
     pub backend: Backend,
     /// Livelock watchdog for batch runs (cycles; see
     /// [`SelfHealing::stall_window`]).

@@ -34,8 +34,8 @@ use std::time::Duration;
 
 use mcb::algos::heal::{run_program_in, ColumnsortProgram, SelfHealing};
 use mcb::net::{
-    validate_chrome_trace, Backend, ChanId, EpochCtx, EpochOpts, FaultPlan, MonitorSnapshot,
-    MonitorState, Network, ProcId, RunMonitor,
+    validate_chrome_trace, AsyncStep, Backend, ChanId, EpochCtx, EpochOpts, FaultPlan,
+    MonitorSnapshot, MonitorState, Network, ProcId, RunMonitor,
 };
 use mcb::workloads::{distinct_keys, rng};
 
@@ -221,10 +221,14 @@ fn main() {
                 .kill_channel(ChanId(2), 25)
                 .crash_proc(ProcId(1), 60),
         )
-        .run(move |ctx| {
-            let prog = ColumnsortProgram::new(tm, &tcols).expect("shape is valid");
-            let mut ectx = EpochCtx::new(tk, tk, EpochOpts::default());
-            run_program_in(ctx, &mut ectx, &prog).map(|_| ectx.into_records())
+        .run_steps(|_| {
+            let tcols = &tcols;
+            AsyncStep::new(move |mut ctx| async move {
+                let prog = ColumnsortProgram::new(tm, tcols).expect("shape is valid");
+                let mut ectx = EpochCtx::new(tk, tk, EpochOpts::default());
+                let out = run_program_in(&mut ctx, &mut ectx, &prog).await;
+                out.map(|_| ectx.into_records())
+            })
         })
         .unwrap_or_else(|e| {
             eprintln!("FAIL: flight-recorder run errored: {e}");

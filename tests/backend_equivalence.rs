@@ -12,8 +12,8 @@
 //! the reference every other backend is compared against.
 
 use mcb::net::{
-    Backend, ChanId, Metrics, NetError, Network, ProcId, RunReport, Step, StepEnv, StepProtocol,
-    Trace,
+    Backend, ChanId, FrameRead, Metrics, NetError, Network, ProcId, RunReport, Step, StepEnv,
+    StepProtocol, Trace,
 };
 use mcb_rng::Rng64;
 
@@ -238,7 +238,8 @@ struct Ring {
 impl StepProtocol<u64> for Ring {
     type Output = u64;
 
-    fn step(&mut self, env: &StepEnv, input: Option<u64>) -> Step<u64, u64> {
+    fn step(&mut self, env: &StepEnv, input: FrameRead<u64>) -> Step<u64, u64> {
+        let input = input.clean();
         let me = env.id.index();
         let turn = (env.now % env.p as u64) as usize;
         if env.now == self.hops {
@@ -303,7 +304,8 @@ struct FaultProbe {
 impl StepProtocol<u64> for FaultProbe {
     type Output = u64;
 
-    fn step(&mut self, env: &StepEnv, input: Option<u64>) -> Step<u64, u64> {
+    fn step(&mut self, env: &StepEnv, input: FrameRead<u64>) -> Step<u64, u64> {
+        let input = input.clean();
         if let Some(v) = input {
             self.sum = self.sum.wrapping_mul(31).wrapping_add(v);
         }
@@ -382,7 +384,7 @@ fn step_error_classification_agrees_across_backends() {
     struct BadWrite;
     impl StepProtocol<u64> for BadWrite {
         type Output = ();
-        fn step(&mut self, env: &StepEnv, _input: Option<u64>) -> Step<u64, ()> {
+        fn step(&mut self, env: &StepEnv, _input: FrameRead<u64>) -> Step<u64, ()> {
             match (env.cycles_used, env.id.index()) {
                 (0, _) => Step::idle(),
                 (1, 0) => Step::write(ChanId(9), 1),
@@ -411,7 +413,7 @@ fn step_error_classification_agrees_across_backends() {
     struct Boom;
     impl StepProtocol<u64> for Boom {
         type Output = ();
-        fn step(&mut self, env: &StepEnv, _input: Option<u64>) -> Step<u64, ()> {
+        fn step(&mut self, env: &StepEnv, _input: FrameRead<u64>) -> Step<u64, ()> {
             if env.cycles_used == 1 && env.id.index() == 2 {
                 panic!("step boom");
             }
@@ -437,7 +439,7 @@ fn step_error_classification_agrees_across_backends() {
     struct Sleeper;
     impl StepProtocol<u64> for Sleeper {
         type Output = ();
-        fn step(&mut self, _env: &StepEnv, _input: Option<u64>) -> Step<u64, ()> {
+        fn step(&mut self, _env: &StepEnv, _input: FrameRead<u64>) -> Step<u64, ()> {
             Step::idle_for(1_000_000)
         }
     }

@@ -8,8 +8,8 @@
 use mcb::algos::heal::{run_program_in, ColumnsortProgram};
 use mcb::algos::Word;
 use mcb::net::{
-    Backend, ChanId, EpochCtx, EpochOpts, EpochRecord, FaultPlan, Network, ProcId, RunMonitor,
-    RunReport, JSONL_SCHEMA_VERSION,
+    AsyncStep, Backend, ChanId, EpochCtx, EpochOpts, EpochRecord, FaultPlan, Network, ProcId,
+    RunMonitor, RunReport, JSONL_SCHEMA_VERSION,
 };
 use mcb_json::Json;
 use mcb_serve::records::{
@@ -52,10 +52,14 @@ fn healed_report(
         net = net.monitor(&monitor);
     }
     let mut report = net
-        .run(move |ctx| {
-            let prog = ColumnsortProgram::new(m, &input).unwrap();
-            let mut ectx = EpochCtx::new(k, k, EpochOpts::default());
-            run_program_in(ctx, &mut ectx, &prog).map(|_| ectx.into_records())
+        .run_steps(|_| {
+            let input = &input;
+            AsyncStep::new(move |mut ctx| async move {
+                let prog = ColumnsortProgram::new(m, input).unwrap();
+                let mut ectx = EpochCtx::new(k, k, EpochOpts::default());
+                let out = run_program_in(&mut ctx, &mut ectx, &prog).await;
+                out.map(|_| ectx.into_records())
+            })
         })
         .unwrap();
     report.epochs = report
@@ -289,6 +293,21 @@ fn v5_export_is_byte_identical_across_backends() {
         a, b,
         "faulted healed monitored runs must export identically"
     );
+}
+
+#[test]
+fn v5_monitored_export_matches_the_recorded_fixture() {
+    // Recorded from the closure-driven heal loop (one OS thread or fiber
+    // per processor) before healing moved onto the step drivers: the
+    // async port must export the same bytes on every backend.
+    let want = include_str!("fixtures/healed_monitored.jsonl");
+    for backend in BACKENDS {
+        assert_eq!(
+            healed_report(backend, true).to_jsonl(),
+            want,
+            "{backend:?}: monitored healed export drifted from the fixture"
+        );
+    }
 }
 
 #[test]

@@ -12,7 +12,8 @@ use std::thread;
 use std::time::Duration;
 
 use mcb::net::{
-    Backend, ChanId, MonitorOpts, MonitorState, Network, RunMonitor, Step, StepEnv, StepProtocol,
+    Backend, ChanId, FrameRead, MonitorOpts, MonitorState, Network, RunMonitor, Step, StepEnv,
+    StepProtocol,
 };
 
 const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Vector];
@@ -28,7 +29,7 @@ struct Gated {
 impl StepProtocol<u64> for Gated {
     type Output = u64;
 
-    fn step(&mut self, env: &StepEnv, _input: Option<u64>) -> Step<u64, u64> {
+    fn step(&mut self, env: &StepEnv, _input: FrameRead<u64>) -> Step<u64, u64> {
         const WARM: u64 = 60;
         const COOL: u64 = 40;
         let held = env.now >= WARM && !self.release.load(Ordering::Acquire);
@@ -160,7 +161,7 @@ fn mid_run_snapshots_are_coherent_on_every_backend() {
 #[test]
 fn faults_and_epochs_reach_the_event_log() {
     use mcb::algos::heal::{run_program_in, ColumnsortProgram};
-    use mcb::net::{EpochCtx, EpochOpts, FaultPlan, ProcId};
+    use mcb::net::{AsyncStep, EpochCtx, EpochOpts, FaultPlan, ProcId};
 
     for backend in BACKENDS {
         let (m, k) = (6usize, 3usize);
@@ -181,10 +182,13 @@ fn faults_and_epochs_reach_the_event_log() {
                     .kill_channel(ChanId(1), 5)
                     .crash_proc(ProcId(2), 30),
             )
-            .run(move |ctx| {
-                let prog = ColumnsortProgram::new(m, &input).unwrap();
-                let mut ectx = EpochCtx::new(k, k, EpochOpts::default());
-                run_program_in(ctx, &mut ectx, &prog).map(|_| ())
+            .run_steps(|_| {
+                let input = &input;
+                AsyncStep::new(move |mut ctx| async move {
+                    let prog = ColumnsortProgram::new(m, input).unwrap();
+                    let mut ectx = EpochCtx::new(k, k, EpochOpts::default());
+                    run_program_in(&mut ctx, &mut ectx, &prog).await.map(|_| ())
+                })
             })
             .unwrap();
 

@@ -21,8 +21,8 @@ use mcb::algos::heal::{
 use mcb::algos::Word;
 use mcb::check::{verify_epochs, Bounds, EpochSegment};
 use mcb::net::{
-    Backend, ChanId, ChaosOpts, ControlCodec, EpochCtx, EpochOpts, FaultPlan, NetError, Network,
-    ProcId,
+    AsyncStep, Backend, ChanId, ChaosOpts, ControlCodec, EpochCtx, EpochOpts, FaultPlan, NetError,
+    Network, ProcId,
 };
 use mcb_rng::Rng64;
 
@@ -148,6 +148,29 @@ fn crash_in_the_very_first_cycle_is_taken_over() {
         assert!(
             !out.epochs[0].live_procs.contains(&0),
             "{backend:?}: the crashed processor survived the census"
+        );
+    }
+}
+
+#[test]
+fn crashing_every_processor_is_a_typed_bad_config() {
+    // Healing covers up to p - 1 crashes. When the plan kills every
+    // processor, no survivor carries the output, and the run must end in
+    // a typed error rather than a hang or an empty answer.
+    let (m, k) = (6usize, 2usize);
+    let input = cols(m, k, 11);
+    let plan = FaultPlan::new(k, k)
+        .crash_proc(ProcId(0), 5)
+        .crash_proc(ProcId(1), 9);
+    for backend in BACKENDS {
+        let err = SelfHealing::new(plan.clone())
+            .backend(backend)
+            .sort_columns(m, input.clone())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NetError::BadConfig("no processor survived to carry the output".into()),
+            "{backend:?}"
         );
     }
 }
@@ -281,16 +304,19 @@ fn epoch_divergence_is_detected_and_fatal() {
         let err = Network::new(2, 1)
             .backend(backend)
             .framing(true)
-            .run(move |ctx| {
-                if ctx.id().index() == 0 {
-                    let ping = <Word<u64> as ControlCodec>::ping(0, 5);
-                    ctx.framed_cycle(Some((ChanId(0), ping)), Some(ChanId(0)));
-                    None
-                } else {
-                    let prog = SelectProgram::new(lists.clone(), 2).unwrap();
-                    let mut ectx = EpochCtx::new(2, 1, EpochOpts::default());
-                    run_program_in(ctx, &mut ectx, &prog)
-                }
+            .run_steps(|_| {
+                let lists = lists.clone();
+                AsyncStep::new(move |mut ctx| async move {
+                    if ctx.id().index() == 0 {
+                        let ping = <Word<u64> as ControlCodec>::ping(0, 5);
+                        ctx.cycle(Some((ChanId(0), ping)), Some(ChanId(0))).await;
+                        None
+                    } else {
+                        let prog = SelectProgram::new(lists, 2).unwrap();
+                        let mut ectx = EpochCtx::new(2, 1, EpochOpts::default());
+                        run_program_in(&mut ctx, &mut ectx, &prog).await
+                    }
+                })
             })
             .unwrap_err();
         match err {
