@@ -366,6 +366,69 @@ mod tests {
         }
     }
 
+    /// A seeded random batch of 1–6 sort and select jobs.
+    fn random_batch(rng: &mut mcb_rng::Rng64) -> BatchProgram<u64> {
+        let jobs = 1 + rng.random_range(0..6usize);
+        let parts = (0..jobs)
+            .map(|_| {
+                if rng.random_range(0..3u64) == 0 {
+                    let (m, k0) = [(2, 2), (6, 2), (6, 3)][rng.random_range(0..3usize)];
+                    BatchPart::Sort(
+                        ColumnsortProgram::new(m, &cols(m, k0, rng.next_u64())).unwrap(),
+                    )
+                } else {
+                    let lists: Vec<Vec<u64>> = (0..2 + rng.random_range(0..3usize))
+                        .map(|_| {
+                            (0..1 + rng.random_range(0..4usize))
+                                .map(|_| rng.random_range(0..50u64))
+                                .collect()
+                        })
+                        .collect();
+                    let n: usize = lists.iter().map(Vec::len).sum();
+                    let d = 1 + rng.random_range(0..n);
+                    BatchPart::Select(SelectProgram::new(lists, d).unwrap())
+                }
+            })
+            .collect();
+        BatchProgram::new(parts).unwrap()
+    }
+
+    #[test]
+    fn healed_runs_count_the_offline_fault_free_cycles_under_storm_chaos() {
+        // The service storm's chaos mix (`k − 1` deaths capped by the
+        // plan, two crashes, two drops, a corrupt, a burst of four).
+        let chaos = mcb_net::ChaosOpts {
+            horizon: 250,
+            deaths: 2,
+            drops: 2,
+            corrupts: 1,
+            stalls: 0,
+            max_stall: 0,
+            crashes: 2,
+            bursts: 1,
+            burst_len: 4,
+        };
+        let mut healed = 0;
+        for seed in 0..48u64 {
+            let build = || random_batch(&mut mcb_rng::Rng64::seed_from_u64(seed));
+            let (want, l) = run_program_offline(&build());
+            let p = HealProgram::<u64>::roles(&build());
+            let k = p.min(3);
+            let plan = FaultPlan::random(seed ^ 0xC4A0_5EED, p, k, &chaos);
+            let Ok(run) =
+                SelfHealing::new(plan)
+                    .backend(Backend::Vector)
+                    .run_program(p, k, build())
+            else {
+                continue;
+            };
+            assert_eq!(run.output, want, "seed {seed}");
+            assert_eq!(run.fault_free_cycles, l, "seed {seed}");
+            healed += 1;
+        }
+        assert!(healed >= 40, "only {healed} of 48 batches healed");
+    }
+
     #[test]
     fn multi_select_answers_every_rank() {
         let lists: Vec<Vec<u64>> = vec![vec![41, 3, 27], vec![88, 14], vec![5, 61, 19, 33]];

@@ -31,7 +31,7 @@
 use crate::barrier::{Sense, SenseBarrier};
 use crate::epoch::EpochRecord;
 use crate::error::NetError;
-use crate::fault::{canonicalize, FaultKind, FaultPlan, FaultRecord, FaultSummary};
+use crate::fault::{canonicalize, FaultIndex, FaultKind, FaultPlan, FaultRecord, FaultSummary};
 use crate::frame::{FrameRead, FRAME_HEADER_BITS};
 use crate::ids::{ChanId, ProcId};
 use crate::message::MsgWidth;
@@ -540,7 +540,7 @@ pub(crate) fn assemble_report<R, M: Clone>(
         return Err(err);
     }
     let k = shared.k;
-    let fault_summary = shared.plan.as_ref().map(|p| p.summary());
+    let fault_summary = shared.plan.as_ref().map(FaultIndex::summary);
     let mut faults = shared.faults.into_inner();
     // Executors append fault records in scheduling order; canonicalize so
     // the log is deterministic and backend-identical.
@@ -769,8 +769,9 @@ pub(crate) struct Shared<M> {
     last_finished: AtomicUsize,
     /// Whether self-checking frames are enabled (see [`Network::framing`]).
     pub(crate) framing: bool,
-    /// The static fault schedule, if any.
-    pub(crate) plan: Option<Arc<FaultPlan>>,
+    /// The static fault schedule, if any, compiled into its lookup index
+    /// once for this run.
+    pub(crate) plan: Option<FaultIndex>,
     /// Faults that fired, appended by any executor; canonicalized (sorted,
     /// deduplicated) by `assemble_report`.
     faults: Mutex<Vec<FaultRecord>>,
@@ -848,7 +849,7 @@ impl<M: Clone + Send + Sync> Shared<M> {
             last_msg_total: AtomicU64::new(0),
             last_finished: AtomicUsize::new(0),
             framing: net.framing,
-            plan: net.fault_plan.clone(),
+            plan: net.fault_plan.as_deref().map(FaultIndex::new),
             faults: Mutex::new(Vec::new()),
             total_procs: net.procs,
             monitor: {

@@ -90,13 +90,22 @@ pub fn shrink(
         }
     }
 
-    // Phase 2: bisect each surviving event's cycle toward 0.
-    for i in 0..events.len() {
+    // Phase 2: bisect each surviving event's cycle toward 0. A move can
+    // land a transient on another's (cycle, party) slot, where the plan
+    // merges the two; the working list is re-canonicalized after every
+    // accepted move, and each event is followed by value, so later moves
+    // never bisect an event the plan no longer has.
+    let canonical = |events: &[FaultEvent]| FaultPlan::from_events(plan.p(), plan.k(), events);
+    for mut e in events.clone() {
         loop {
-            let at = events[i].at();
+            let at = e.at();
             if at == 0 {
                 break;
             }
+            let i = events
+                .iter()
+                .position(|&x| x == e)
+                .expect("the followed event is in the list");
             // Try the big jump first (halving), then the small step.
             let mut moved = false;
             for cand_at in [at / 2, at - 1] {
@@ -104,9 +113,11 @@ pub fn shrink(
                     continue;
                 }
                 let mut candidate = events.clone();
-                candidate[i] = candidate[i].with_at(cand_at);
+                candidate[i] = e.with_at(cand_at);
+                let candidate = canonical(&candidate).events();
                 if check(&candidate) {
                     events = candidate;
+                    e = e.with_at(cand_at);
                     moved = true;
                     break;
                 }
@@ -117,11 +128,49 @@ pub fn shrink(
         }
     }
 
-    let shrunk = FaultPlan::from_events(plan.p(), plan.k(), &events).with_seed(plan.seed());
+    let shrunk = canonical(&events).with_seed(plan.seed());
     ShrinkOutcome {
-        events: events.len(),
+        events: shrunk.events().len(),
         original_events,
         plan: shrunk,
         runs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcb_net::ChanId;
+
+    #[test]
+    fn a_move_onto_another_transient_merges_the_two() {
+        let target = SimTarget::Select {
+            p: 4,
+            k: 2,
+            n_per: 3,
+            d: 6,
+        };
+        // Two drops on channel 1. The predicate needs both of them at
+        // their recorded cycles (two faults fire), or one fault firing
+        // before cycle 2: so phase 1 keeps both, and phase 2 bisects the
+        // later drop onto the earlier one's slot, where the plan merges
+        // them into one event.
+        let plan = FaultPlan::new(4, 2)
+            .drop_message(3, ChanId(1))
+            .drop_message(8, ChanId(1));
+        let fails = |v: &Verdict| match v {
+            Verdict::Pass(info) => info.fired.len() >= 2 || info.fired.iter().any(|f| f.cycle < 2),
+            _ => false,
+        };
+        let out = shrink(&target, &plan, fails);
+        assert_eq!(out.original_events, 2);
+        assert_eq!(
+            out.plan.events(),
+            vec![FaultEvent::Drop { at: 1, chan: 1 }],
+            "{}",
+            out.plan.to_jsonl()
+        );
+        assert_eq!(out.events, 1, "the count must be the plan's");
+        assert!(fails(&target.run(&out.plan)));
     }
 }

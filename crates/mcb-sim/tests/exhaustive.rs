@@ -50,8 +50,8 @@ fn two_fault_plans_heal_in_the_early_window() {
         d: 5,
     };
     let l = target.fault_free_cycles();
-    // Truncate the window so the pair sweep stays test-sized; the full
-    // grid is the nightly job's business.
+    // Truncate the window so the pair sweep stays test-sized; CI's
+    // `sim` job sweeps the full (4, 2) grid with the release binary.
     let horizon = l.min(6);
     let opts = EnumOpts {
         horizon,
