@@ -194,12 +194,14 @@ impl SweepOutcome {
     }
 }
 
-/// Run every plan through `target` and tally the verdicts.
+/// Run every plan through `target` and tally the verdicts, each held to
+/// the target's reference `L` ([`Verdict::held_to`]).
 pub fn sweep(target: &SimTarget, plans: impl IntoIterator<Item = FaultPlan>) -> SweepOutcome {
+    let l = target.fault_free_cycles();
     let mut out = SweepOutcome::default();
     for plan in plans {
         out.total += 1;
-        match target.run(&plan) {
+        match target.run(&plan).held_to(l) {
             Verdict::Pass(_) => out.passed += 1,
             Verdict::TypedError(e) => out.typed_errors.push((plan, e)),
             Verdict::Overrun(e) => out.overruns.push((plan, e)),

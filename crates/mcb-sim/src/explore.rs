@@ -151,9 +151,11 @@ pub struct ExploreOutcome {
     pub wrong: Vec<(FaultPlan, String)>,
 }
 
-/// Run a coverage-guided exploration of `target`'s fault space.
+/// Run a coverage-guided exploration of `target`'s fault space. Every
+/// verdict is held to the target's reference `L` ([`Verdict::held_to`]).
 pub fn explore(target: &SimTarget, opts: &ExploreOpts) -> ExploreOutcome {
     let started = Instant::now();
+    let l = target.fault_free_cycles();
     let mut rng = Rng64::seed_from_u64(opts.seed);
     let mut out = ExploreOutcome::default();
     let mut predicted: BTreeSet<(FaultKind, u32)> = BTreeSet::new();
@@ -180,7 +182,7 @@ pub fn explore(target: &SimTarget, opts: &ExploreOpts) -> ExploreOutcome {
         let (_, plan) = best.expect("candidates >= 1");
         predicted.extend(plan.events().iter().map(|e| static_key(e.kind(), e.at())));
         out.runs += 1;
-        match target.run(&plan) {
+        match target.run(&plan).held_to(l) {
             Verdict::Pass(info) => {
                 out.coverage.observe(&info);
             }

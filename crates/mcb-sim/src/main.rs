@@ -22,7 +22,7 @@
 use mcb_net::ChaosOpts;
 use mcb_sim::{
     crash_point_sweep, explore, scenario_journal, shrink, single_fault_plans, sweep,
-    two_fault_plans, EnumOpts, ExploreOpts, Repro, SimTarget, Verdict,
+    two_fault_plans, EnumOpts, ExploreOpts, Repro, SimTarget,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -167,7 +167,8 @@ fn run_exhaustive(args: &Args) -> Result<ExitCode, String> {
 
 fn run_explore(args: &Args) -> Result<ExitCode, String> {
     let target = select_target(args.p, args.k);
-    let horizon = target.fault_free_cycles() * 2;
+    let l = target.fault_free_cycles();
+    let horizon = l * 2;
     let opts = ExploreOpts {
         plans: args.plans,
         chaos: ChaosOpts::unplanned(horizon),
@@ -197,7 +198,7 @@ fn run_explore(args: &Args) -> Result<ExitCode, String> {
     );
     let mut repros = Vec::new();
     for (plan, reason) in outcome.wrong.iter().chain(&outcome.overruns) {
-        let shrunk = shrink(&target, plan, Verdict::is_violation);
+        let shrunk = shrink(&target, plan, |v| v.clone().held_to(l).is_violation());
         eprintln!(
             "# wrong plan shrunk {} -> {} events in {} runs",
             shrunk.original_events, shrunk.events, shrunk.runs

@@ -63,11 +63,13 @@ impl Repro {
         })
     }
 
-    /// Re-run the plan. Returns the fresh verdict and whether the
-    /// recorded failure class reproduces (any contract violation —
-    /// wrong output or a blown cycle bound).
+    /// Re-run the plan. Returns the fresh verdict, held to the target's
+    /// reference `L` ([`Verdict::held_to`]), and whether the recorded
+    /// failure class reproduces (any contract violation — wrong output
+    /// or a blown cycle bound).
     pub fn replay(&self) -> (bool, Verdict) {
-        let v = self.target.run(&self.plan);
+        let l = self.target.fault_free_cycles();
+        let v = self.target.run(&self.plan).held_to(l);
         (v.is_violation(), v)
     }
 }

@@ -1,6 +1,7 @@
 //! Golden verdicts: a fixed sample of the covered fault grids must heal
 //! with exactly the cycles, epoch commit cycles and fired-fault counts
-//! recorded in `fixtures/golden_verdicts.txt`.
+//! recorded in `fixtures/golden_verdicts.txt`, and every healed run must
+//! count the target's fault-free cycles `L` for itself.
 //!
 //! The sample is every single-fault plan of `select(p=4, k=2)`, every
 //! 100th plan of its pair grid, and every single-fault plan of
@@ -33,9 +34,11 @@ fn wide() -> SimTarget {
 }
 
 /// One fixture line: `class index verdict cycles epoch-cycles fired`.
-fn line(class: &str, index: usize, verdict: &Verdict) -> String {
+/// A pass must have counted the target's reference `l`.
+fn line(class: &str, index: usize, l: u64, verdict: &Verdict) -> String {
     match verdict {
         Verdict::Pass(info) => {
+            assert_eq!(info.fault_free_cycles, l, "{class} {index}: counted L");
             let epochs: Vec<String> = info.epoch_cycles.iter().map(u64::to_string).collect();
             let epochs = if epochs.is_empty() {
                 "-".to_string()
@@ -61,18 +64,18 @@ fn golden_lines() -> Vec<String> {
     let ls = s.fault_free_cycles();
     let os = EnumOpts::covered(ls, ls);
     for (i, plan) in single_fault_plans(4, 2, &os).iter().enumerate() {
-        out.push(line("s1", i, &s.run(plan)));
+        out.push(line("s1", i, ls, &s.run(plan)));
     }
     for (i, plan) in two_fault_plans(4, 2, &os).iter().enumerate() {
         if i % PAIR_STRIDE == 0 {
-            out.push(line("s2", i, &s.run(plan)));
+            out.push(line("s2", i, ls, &s.run(plan)));
         }
     }
     let w = wide();
     let lw = w.fault_free_cycles();
     let ow = EnumOpts::covered(lw, lw);
     for (i, plan) in single_fault_plans(8, 4, &ow).iter().enumerate() {
-        out.push(line("w1", i, &w.run(plan)));
+        out.push(line("w1", i, lw, &w.run(plan)));
     }
     out
 }

@@ -14,7 +14,9 @@
 //! ([`ChaosOpts`] default `crashes = 0`); crash takeover has its own
 //! tests in `tests/self_heal.rs`.
 
-use mcb::algos::heal::{HealedSort, SelfHealing};
+use mcb::algos::heal::{
+    run_program_offline, ColumnsortProgram, HealedSort, SelectProgram, SelfHealing,
+};
 use mcb::net::{Backend, ChaosOpts, FaultPlan};
 use mcb_rng::Rng64;
 
@@ -57,10 +59,12 @@ fn flat_sorted_desc(cols: &[Vec<Option<u64>>]) -> Vec<u64> {
 }
 
 /// Sort `input` under `plan` on every backend; assert each output equals
-/// the fault-free answer within the healing bound, and that the backends
-/// agree on outputs, metrics, epoch logs and fault summaries.
+/// the fault-free answer within the healing bound, built from the
+/// offline run's fault-free cycles, and that the backends agree on
+/// outputs, metrics, epoch logs and fault summaries.
 fn sort_on_all_backends(plan: &FaultPlan, m: usize, input: &[Vec<Option<u64>>], ctx: &str) {
     let want = flat_sorted_desc(input);
+    let l = run_program_offline::<u64, _>(&ColumnsortProgram::new(m, input).unwrap()).1;
     let mut per_backend: Vec<HealedSort<u64>> = Vec::new();
     for backend in BACKENDS {
         let out = SelfHealing::new(plan.clone())
@@ -77,6 +81,10 @@ fn sort_on_all_backends(plan: &FaultPlan, m: usize, input: &[Vec<Option<u64>>], 
             "{ctx} {backend:?}: {} physical cycles exceed the healing bound {}",
             out.metrics.cycles,
             out.cycle_bound
+        );
+        assert_eq!(
+            out.fault_free_cycles, l,
+            "{ctx} {backend:?}: the bound's L is not the offline run's"
         );
         per_backend.push(out);
     }
@@ -127,6 +135,7 @@ fn selection_is_correct_under_random_fault_plans() {
             let d = 1 + (seed as usize) % all.len();
             let want = all[d - 1];
             let ctx = repro(seed, &plan);
+            let l = run_program_offline::<u64, _>(&SelectProgram::new(lists.clone(), d).unwrap()).1;
 
             let mut values = Vec::new();
             for backend in BACKENDS {
@@ -143,6 +152,10 @@ fn selection_is_correct_under_random_fault_plans() {
                     "{ctx} p={p} k={k} {backend:?}: {} cycles exceed the healing bound {}",
                     out.metrics.cycles,
                     out.cycle_bound
+                );
+                assert_eq!(
+                    out.fault_free_cycles, l,
+                    "{ctx} p={p} k={k} {backend:?}: the bound's L is not the offline run's"
                 );
                 values.push((out.metrics, out.epochs, out.fault_summary));
             }

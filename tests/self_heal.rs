@@ -46,9 +46,21 @@ fn flat_sorted_desc(cols: &[Vec<Option<u64>>]) -> Vec<u64> {
     all
 }
 
+/// The fault-free cycles `L` of sorting `input`, from the offline
+/// reference run (a healed run counts its own).
+fn offline_sort_cycles(m: usize, input: &[Vec<Option<u64>>]) -> u64 {
+    run_program_offline::<u64, _>(&ColumnsortProgram::new(m, input).unwrap()).1
+}
+
 /// Assert the healed sort is complete and correct: every slot filled in
-/// order, no `None` holes where a crashed processor's column used to be.
-fn assert_complete_sorted(out: &mcb::algos::heal::HealedSort<u64>, want: &[u64], tag: &str) {
+/// order, no `None` holes where a crashed processor's column used to be,
+/// within the healing bound built from the offline `l`.
+fn assert_complete_sorted(
+    out: &mcb::algos::heal::HealedSort<u64>,
+    want: &[u64],
+    l: u64,
+    tag: &str,
+) {
     let lin: Vec<Option<u64>> = out.columns.iter().flatten().copied().collect();
     let reals = want.len();
     assert!(
@@ -62,6 +74,10 @@ fn assert_complete_sorted(out: &mcb::algos::heal::HealedSort<u64>, want: &[u64],
         "{tag}: {} cycles exceed the healing bound {}",
         out.metrics.cycles,
         out.cycle_bound
+    );
+    assert_eq!(
+        out.fault_free_cycles, l,
+        "{tag}: the bound's L is not the offline run's"
     );
 }
 
@@ -77,6 +93,7 @@ fn columnsort_heals_under_random_unplanned_faults() {
             let plan = FaultPlan::random(seed, k, k, &opts);
             let input = cols(m, k, seed);
             let want = flat_sorted_desc(&input);
+            let l = offline_sort_cycles(m, &input);
 
             let mut per_backend = Vec::new();
             for backend in BACKENDS {
@@ -88,7 +105,7 @@ fn columnsort_heals_under_random_unplanned_faults() {
                     .backend(backend)
                     .sort_columns(m, input.clone())
                     .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                assert_complete_sorted(&out, &want, &tag);
+                assert_complete_sorted(&out, &want, l, &tag);
                 per_backend.push(out);
             }
             let a = &per_backend[0];
@@ -115,6 +132,7 @@ fn columnsort_survives_unannounced_crashes() {
             let plan = FaultPlan::random(seed, k, k, &opts);
             let input = cols(m, k, seed);
             let want = flat_sorted_desc(&input);
+            let l = offline_sort_cycles(m, &input);
             for backend in BACKENDS {
                 let tag = format!(
                     "seed {seed:#x} m={m} k={k} {backend:?} repro plan: {}",
@@ -124,7 +142,7 @@ fn columnsort_survives_unannounced_crashes() {
                     .backend(backend)
                     .sort_columns(m, input.clone())
                     .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                assert_complete_sorted(&out, &want, &tag);
+                assert_complete_sorted(&out, &want, l, &tag);
             }
         }
     }
@@ -137,13 +155,14 @@ fn crash_in_the_very_first_cycle_is_taken_over() {
     let (m, k) = (6usize, 3usize);
     let input = cols(m, k, 7);
     let want = flat_sorted_desc(&input);
+    let l = offline_sort_cycles(m, &input);
     let plan = FaultPlan::new(k, k).crash_proc(ProcId(0), 0);
     for backend in BACKENDS {
         let out = SelfHealing::new(plan.clone())
             .backend(backend)
             .sort_columns(m, input.clone())
             .unwrap_or_else(|e| panic!("{backend:?}: {e}"));
-        assert_complete_sorted(&out, &want, &format!("{backend:?}"));
+        assert_complete_sorted(&out, &want, l, &format!("{backend:?}"));
         assert!(!out.epochs.is_empty(), "{backend:?}: crash went undetected");
         assert!(
             !out.epochs[0].live_procs.contains(&0),
@@ -195,6 +214,7 @@ fn selection_heals_under_random_unplanned_faults() {
             all.sort_unstable_by(|a, b| b.cmp(a));
             let d = 1 + (seed as usize) % all.len();
             let want = all[d - 1];
+            let l = run_program_offline::<u64, _>(&SelectProgram::new(lists.clone(), d).unwrap()).1;
 
             let mut per_backend = Vec::new();
             for backend in BACKENDS {
@@ -212,6 +232,10 @@ fn selection_heals_under_random_unplanned_faults() {
                     "{tag}: {} cycles exceed the healing bound {}",
                     out.metrics.cycles,
                     out.cycle_bound
+                );
+                assert_eq!(
+                    out.fault_free_cycles, l,
+                    "{tag}: the bound's L is not the offline run's"
                 );
                 per_backend.push((out.value, out.metrics, out.epochs));
             }
